@@ -46,9 +46,7 @@ func runExperiment(b *testing.B, id experiments.ID, metrics func(*experiments.Re
 
 // BenchmarkRunAll times the complete all-figures reproduction (the 15 paper
 // tables/figures) on the bench subset through the cell scheduler with a
-// shared cell cache — the path cmd/ignite-bench -exp all takes. Compare
-// against BenchmarkRunAllSerialNoCache (in internal/experiments) for the
-// pre-scheduler baseline.
+// shared cell cache — the path cmd/ignite-bench -exp all takes.
 func BenchmarkRunAll(b *testing.B) {
 	opt := benchOpts(b)
 	opt.Parallel = runtime.NumCPU()

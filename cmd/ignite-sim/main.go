@@ -1,34 +1,24 @@
 // Command ignite-sim runs a single (function, configuration) simulation
-// under the lukewarm protocol and prints detailed statistics, or reproduces
-// the full experiment suite.
+// under the lukewarm protocol and prints detailed statistics. Sweeps over
+// the experiment suite are cmd/ignite-bench's job.
 //
 // Usage:
 //
 //	ignite-sim -fn Auth-G -config ignite
 //	ignite-sim -fn Curr-N -config boomerang+jb -mode back-to-back
+//	ignite-sim -fn Auth-G -config ignite -out results/   # JSON metric snapshot
 //	ignite-sim -show-config
-//	ignite-sim -all -out results/           # machine-readable JSON per experiment
-//	ignite-sim -all -progress               # narrate cell completions + ETA
-//	ignite-sim -all -fail-policy continue   # degrade on cell failures, don't abort
-//	ignite-sim -all -resume -out results/   # pick up an interrupted run
 //
 // The IGNITE_FAULTS environment variable arms deterministic fault injection
-// (see internal/faults) on both the suite and single-cell runs.
-//
-// Ctrl-C cancels cleanly: in-flight simulation cells drain, unstarted ones
-// are skipped, and the command exits with status 130. Simulation failures
-// exit 1; usage errors exit 2.
+// (see internal/faults) on the run. Simulation failures exit 1; usage
+// errors exit 2.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"syscall"
 	"time"
 
 	"ignite/internal/experiments"
@@ -45,18 +35,9 @@ func main() {
 	modeFlag := flag.String("mode", "interleaved", "inter-invocation mode: interleaved or back-to-back")
 	listFlag := flag.Bool("list", false, "list functions and configurations")
 	showCfg := flag.Bool("show-config", false, "print the simulated core parameters (Table 2)")
-	allFlag := flag.Bool("all", false, "reproduce every registered experiment through one shared cell cache")
-	outFlag := flag.String("out", "", "directory for machine-readable JSON result documents")
-	progFlag := flag.Bool("progress", false, "report per-cell completion and ETA on stderr")
-	policyFlag := flag.String("fail-policy", "fail-fast", "cell-failure policy for -all: fail-fast or continue")
-	timeoutFlag := flag.Duration("cell-timeout", 0, "per-cell simulation deadline for -all (0 = none)")
+	outFlag := flag.String("out", "", "directory for the run's machine-readable JSON metric document")
 	cyclesFlag := flag.Uint64("max-cycles", 0, "per-invocation engine cycle budget (0 = unlimited)")
-	journalFlag := flag.String("journal", "", "crash-safe cell journal path for -all (default <out>/run.journal.jsonl when -out is set)")
-	resumeFlag := flag.Bool("resume", false, "preload cells from the journal of an interrupted -all run")
 	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	plan, err := faults.FromEnvSpec(os.Getenv(faults.EnvVar))
 	if err != nil {
@@ -64,23 +45,8 @@ func main() {
 	}
 
 	switch {
-	case *allFlag:
-		policy, err := experiments.ParseFailurePolicy(*policyFlag)
-		if err != nil {
-			fatalCode(2, err)
-		}
-		runAll(ctx, allOptions{
-			dir:      *outFlag,
-			progress: *progFlag,
-			policy:   policy,
-			timeout:  *timeoutFlag,
-			cycles:   *cyclesFlag,
-			journal:  *journalFlag,
-			resume:   *resumeFlag,
-			faults:   plan,
-		})
 	case *showCfg:
-		res, err := experiments.Run(ctx, "tab2", experiments.Options{})
+		res, err := experiments.Run(context.Background(), "tab2", experiments.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -96,98 +62,6 @@ func main() {
 		}
 	default:
 		runOne(*fnFlag, *cfgFlag, *modeFlag, *outFlag, *cyclesFlag, plan)
-	}
-}
-
-// allOptions bundles the -all run's knobs.
-type allOptions struct {
-	dir      string
-	progress bool
-	policy   experiments.FailurePolicy
-	timeout  time.Duration
-	cycles   uint64
-	journal  string
-	resume   bool
-	faults   *faults.Plan
-}
-
-// runAll reproduces every experiment, optionally exporting one versioned
-// JSON document per experiment into dir.
-func runAll(ctx context.Context, ao allOptions) {
-	opt := experiments.Options{
-		Cache:         experiments.NewCellCache(),
-		FailurePolicy: ao.policy,
-		CellTimeout:   ao.timeout,
-		MaxCycles:     ao.cycles,
-		Faults:        ao.faults,
-		Health:        new(obs.RunHealth),
-	}
-	var reporter *obs.ProgressReporter
-	if ao.progress {
-		reporter = obs.NewProgressReporter(os.Stderr)
-		opt.Tracer = reporter
-	}
-	journalPath := ao.journal
-	if journalPath == "" && ao.dir != "" {
-		journalPath = filepath.Join(ao.dir, "run.journal.jsonl")
-	}
-	if ao.resume && journalPath == "" {
-		fatalCode(2, errors.New("ignite-sim: -resume needs a journal (-journal or -out)"))
-	}
-	if journalPath != "" {
-		j, err := experiments.OpenJournal(journalPath, opt.Fingerprint())
-		if err != nil {
-			fatal(err)
-		}
-		defer j.Close()
-		opt.Journal = j
-		if ao.resume {
-			loaded, skipped, err := j.Resume(opt.Cache)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "resumed %d cell(s) from %s (%d unreadable record(s) skipped)\n",
-				loaded, journalPath, skipped)
-		}
-	}
-
-	results, runErr := experiments.RunAll(ctx, nil, opt)
-	failed := runErr != nil
-	for _, res := range results {
-		fmt.Println(res.Render())
-		fmt.Println()
-		if len(res.Failures) > 0 {
-			failed = true
-			fmt.Fprintf(os.Stderr, "%s: %d degraded cell(s):\n", res.ID, len(res.Failures))
-			for _, f := range res.Failures {
-				fmt.Fprintf(os.Stderr, "  %-12s %-16s %-8s %s\n", f.Workload, f.Config, f.Status, f.Err)
-			}
-		}
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, runErr)
-	}
-	if reporter != nil {
-		cells, hits := reporter.Summary()
-		fmt.Fprintf(os.Stderr, "%d cells (%d cache hits)\n", cells, hits)
-	}
-	if ao.dir != "" {
-		man := opt.Manifest()
-		man.Generated = time.Now().UTC().Format(time.RFC3339)
-		for _, res := range results {
-			path, err := res.Document(man).WriteFile(ao.dir, string(res.ID))
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-	switch {
-	case errors.Is(runErr, context.Canceled) || ctx.Err() != nil:
-		fmt.Fprintln(os.Stderr, "ignite-sim: interrupted")
-		os.Exit(130)
-	case failed:
-		os.Exit(1)
 	}
 }
 

@@ -75,9 +75,9 @@ func (r TaskRequest) CellSpec() experiments.CellSpec {
 
 // TaskResponse answers one computed cell. Cell is the experiment layer's
 // CellPayload JSON, guarded by the IEEE CRC-32 of its raw bytes — the same
-// record discipline the journal and the content-addressed store use — so a
-// payload damaged anywhere between the worker's encoder and the
-// coordinator's decoder is detected, not cached.
+// record discipline the content-addressed store uses — so a payload damaged
+// anywhere between the worker's encoder and the coordinator's decoder is
+// detected, not cached.
 type TaskResponse struct {
 	SchemaVersion int             `json:"schemaVersion"`
 	Key           string          `json:"key"`

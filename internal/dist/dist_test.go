@@ -427,26 +427,29 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 // drain begins is shed with a retryable envelope, the coordinator fails
 // over, and every cell still completes byte-identical to a local compute.
 func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
-	wA := NewWorker()
-	inflight := make(chan struct{})
+	// Hold the first task on the wire — on whichever worker receives it, as
+	// an idle worker may steal it from its home queue — so the drain
+	// demonstrably begins while a request is outstanding.
+	var held atomic.Bool
+	inflight := make(chan *Worker, 1)
 	release := make(chan struct{})
-	var once sync.Once
-	srvA := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == PathTask {
-			// Hold the first task on the wire so the drain demonstrably
-			// begins while a request is outstanding.
-			once.Do(func() { close(inflight); <-release })
-		}
-		wA.Handler().ServeHTTP(rw, r)
-	}))
-	defer srvA.Close()
-	srvB := httptest.NewServer(NewWorker().Handler())
-	defer srvB.Close()
-	addrA := strings.TrimPrefix(srvA.URL, "http://")
-	addrB := strings.TrimPrefix(srvB.URL, "http://")
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		w := NewWorker()
+		h := w.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == PathTask && held.CompareAndSwap(false, true) {
+				inflight <- w
+				<-release
+			}
+			h.ServeHTTP(rw, r)
+		}))
+		defer srv.Close()
+		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
+	}
 
 	coord, err := NewCoordinator(CoordinatorOptions{
-		Addrs: []string{addrA, addrB}, Slots: 1,
+		Addrs: addrs, Slots: 1,
 		DisableProbing: true, DisableHedging: true,
 	})
 	if err != nil {
@@ -465,11 +468,21 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 		p, err := remote(context.Background(), specs[0], experiments.CellEnv{})
 		res1 <- out{p, err}
 	}()
-	<-inflight // the first task is outstanding against A
-	wA.BeginDrain()
-	close(release) // A now answers it with the retryable shutting-down shed
+	var holder *Worker
+	select {
+	case holder = <-inflight: // the first task is outstanding against holder
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first task never reached a worker")
+	}
+	holder.BeginDrain()
+	close(release) // holder now answers it with the retryable shutting-down shed
 
-	r1 := <-res1
+	var r1 out
+	select {
+	case r1 = <-res1:
+	case <-time.After(30 * time.Second):
+		t.Fatal("cell 0 never completed after the drain")
+	}
 	if r1.err != nil {
 		t.Fatalf("cell 0 failed despite failover: %v", r1.err)
 	}
@@ -490,9 +503,10 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 			t.Errorf("cell %d: failover payload differs from local compute", i)
 		}
 	}
-	// Cell 0 deterministically fails over (it was on A's wire when the
-	// drain began). Cell 1 may be stolen by idle B before draining A ever
-	// sees it, so only one failover is guaranteed.
+	// Cell 0 deterministically fails over (it was on the drained worker's
+	// wire when the drain began). Cell 1 may be taken by the healthy worker
+	// before the drained one ever sees it, so only one failover is
+	// guaranteed.
 	if _, _, failovers := coord.Stats(); failovers < 1 {
 		t.Errorf("failovers = %d, want >= 1 (the in-flight cell was shed by the draining worker)", failovers)
 	}

@@ -39,19 +39,16 @@ var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 // spec — so the nl/interleaved baseline that fig3, fig8, fig9a, fig11 and
 // fig12 all need is simulated exactly once per RunAll instead of five times.
 // Entries are computed single-flight: a second request for an in-flight key
-// blocks until the first completes and shares its result.
+// blocks until the first completes and shares its result. Cells are also fed
+// pre-generated committed traces: the walk depends only on the program and
+// seed, never on the front-end configuration, so a workload's ~6 invocation
+// traces are identical across every cell.
 type CellCache struct {
 	mu     sync.Mutex
 	progs  map[string]*progEntry
 	cells  map[string]*cellEntry
 	traces map[string]*traceEntry
 	hits   int
-	// shareTraces feeds cells pre-generated committed traces (the walk
-	// depends only on the program and seed, never on the front-end
-	// configuration, so a workload's ~6 invocation traces are identical
-	// across every cell). Disabled only on the benchmark path that
-	// replays the pre-scheduler cost model.
-	shareTraces bool
 	// backing, when set, persists computed cells to (and restores them
 	// from) a cross-run store — see SetBacking. Loads and saves happen
 	// inside the entry's single-flight section, so hit accounting (and
@@ -76,9 +73,9 @@ type CellBacking interface {
 }
 
 // CellPayload is the portable value of one computed cell — exactly what
-// the journal, the content-addressed store, and the distributed-sweep wire
-// protocol all carry. lukewarm.Result is plain exported data, so a JSON
-// round trip reproduces it bit-identically.
+// the content-addressed store and the distributed-sweep wire protocol both
+// carry. lukewarm.Result is plain exported data, so a JSON round trip
+// reproduces it bit-identically.
 type CellPayload struct {
 	Res     *lukewarm.Result   `json:"res"`
 	Metrics map[string]float64 `json:"metrics"`
@@ -109,11 +106,6 @@ type cellEntry struct {
 	once sync.Once
 	c    *cell
 	err  error
-	// preloaded marks an entry injected by Preload (journal resume). The
-	// first request of a preloaded entry is not counted as a cache hit, so
-	// a resumed run reports the same cache statistics — and therefore an
-	// identical manifest — as the clean run it replays.
-	preloaded bool
 }
 
 type traceEntry struct {
@@ -126,10 +118,9 @@ type traceEntry struct {
 // NewCellCache returns an empty cache.
 func NewCellCache() *CellCache {
 	return &CellCache{
-		progs:       make(map[string]*progEntry),
-		cells:       make(map[string]*cellEntry),
-		traces:      make(map[string]*traceEntry),
-		shareTraces: true,
+		progs:  make(map[string]*progEntry),
+		cells:  make(map[string]*cellEntry),
+		traces: make(map[string]*traceEntry),
 	}
 }
 
@@ -191,16 +182,12 @@ type cellEnv struct {
 func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell, bool, error) {
 	key := cellKey(spec, rc)
 	cc.mu.Lock()
-	e, ok := cc.cells[key]
-	hit := ok
-	if !ok {
+	e, hit := cc.cells[key]
+	if hit {
+		cc.hits++
+	} else {
 		e = &cellEntry{}
 		cc.cells[key] = e
-	} else if e.preloaded {
-		e.preloaded = false
-		hit = false
-	} else {
-		cc.hits++
 	}
 	cc.mu.Unlock()
 	e.once.Do(func() {
@@ -253,20 +240,6 @@ func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell,
 	return e.c, hit, e.err
 }
 
-// Preload installs an already-computed cell (a journal record from an
-// earlier, interrupted run) under key. Existing entries win: a preloaded
-// cell never displaces a live computation.
-func (cc *CellCache) Preload(key string, c *cell) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if _, ok := cc.cells[key]; ok {
-		return
-	}
-	e := &cellEntry{c: c, preloaded: true}
-	e.once.Do(func() {})
-	cc.cells[key] = e
-}
-
 // trace returns the committed trace for (workload, seed, budget), walking
 // the program at most once per key. Entries live for the cache's lifetime:
 // a full-scale all-figures run holds roughly six traces per workload.
@@ -306,11 +279,9 @@ func (cc *CellCache) compute(spec workload.Spec, rc runConfig, env cellEnv) (*ce
 	}
 	setup.Eng.AttachScratch(scratchPool.Get().(*engine.Scratch))
 	defer func() { scratchPool.Put(setup.Eng.DetachScratch()) }()
-	if cc.shareTraces {
-		specK := specKey(spec)
-		setup.TraceProvider = func(seed, maxInstr uint64) ([]cfg.Step, cfg.WalkResult, error) {
-			return cc.trace(prog, specK, seed, maxInstr)
-		}
+	specK := specKey(spec)
+	setup.TraceProvider = func(seed, maxInstr uint64) ([]cfg.Step, cfg.WalkResult, error) {
+		return cc.trace(prog, specK, seed, maxInstr)
 	}
 	res, err := setup.Run(rc.Mode)
 	if err != nil {

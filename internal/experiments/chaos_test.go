@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -358,7 +357,7 @@ func TestSchedulerFailFastSkipsQueued(t *testing.T) {
 // TestSchedulerRetriesTransient asserts a transient failure is retried with
 // the attempt count recorded, while a plain error is not retried.
 func TestSchedulerRetriesTransient(t *testing.T) {
-	opt := Options{Parallel: 1, RetryBackoff: time.Millisecond, Health: new(obs.RunHealth)}
+	opt := Options{Parallel: 1, Health: new(obs.RunHealth)}
 	s := newScheduler(context.Background(), "test", opt)
 	calls := 0
 	s.submit("wl", "flaky", func(_ context.Context, attempt int) error {
@@ -391,187 +390,6 @@ func TestSchedulerRetriesTransient(t *testing.T) {
 	}
 	if outs[0].status != StatusFailed {
 		t.Errorf("outcome = %s, want failed", outs[0].status)
-	}
-}
-
-// TestJournalResumeByteIdentical interrupts nothing but proves the resume
-// contract end to end: a fig1 run journaled to disk, then replayed through
-// a fresh cache, must produce a byte-identical document — including the
-// manifest's cache statistics — without recomputing any cell.
-func TestJournalResumeByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.journal.jsonl")
-
-	opt1 := chaosOpts(t)
-	opt1.Cache = NewCellCache()
-	j1, err := OpenJournal(path, opt1.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt1.Journal = j1
-	res1, err := Run(context.Background(), "fig1", opt1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc1 := docBytes(t, res1, opt1)
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	opt2 := chaosOpts(t)
-	opt2.Cache = NewCellCache()
-	j2, err := OpenJournal(path, opt2.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt2.Journal = j2
-	loaded, skipped, err := j2.Resume(opt2.Cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded != 4 || skipped != 0 {
-		t.Fatalf("resume loaded %d / skipped %d records, want 4 / 0", loaded, skipped)
-	}
-	res2, err := Run(context.Background(), "fig1", opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc2 := docBytes(t, res2, opt2)
-	if string(doc1) != string(doc2) {
-		t.Error("resumed document differs from the original run")
-	}
-}
-
-// TestJournalCorruptionDetected arms a corrupt-record fault: the journal's
-// record for that cell must fail CRC verification on resume, be skipped,
-// and the rerun must recompute exactly that cell — still landing on a
-// byte-identical document.
-func TestJournalCorruptionDetected(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.journal.jsonl")
-	plan, err := faults.Parse("corrupt@fig1/Fib-G/b2b")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt1 := chaosOpts(t)
-	opt1.Cache = NewCellCache()
-	opt1.Faults = plan
-	j1, err := OpenJournal(path, opt1.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt1.Journal = j1
-	res1, err := Run(context.Background(), "fig1", opt1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc1 := docBytes(t, res1, opt1)
-	j1.Close()
-
-	// Simulate a crash-torn tail on top of the corruption.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"key":"torn","crc":1,"cel`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	opt2 := chaosOpts(t)
-	opt2.Cache = NewCellCache()
-	j2, err := OpenJournal(path, opt2.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt2.Journal = j2
-	loaded, skipped, err := j2.Resume(opt2.Cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded != 3 || skipped != 2 {
-		t.Fatalf("resume loaded %d / skipped %d, want 3 good cells / 2 bad records", loaded, skipped)
-	}
-	res2, err := Run(context.Background(), "fig1", opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The corrupt-fault plan is exhausted (trips=1 was consumed writing the
-	// original journal), so the recomputed record is clean — but the
-	// document must match regardless of which cells came from the journal.
-	doc2 := docBytes(t, res2, opt2)
-	if string(doc1) != string(doc2) {
-		t.Error("document after corrupted-journal resume differs from the original")
-	}
-}
-
-// TestJournalRejectsForeignHeader asserts a journal of a different kind or
-// schema version fails loudly — at open, before any record could be
-// appended to or replayed from it — instead of silently loading garbage.
-func TestJournalRejectsForeignHeader(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.jsonl")
-	if err := os.WriteFile(path,
-		[]byte(`{"kind":"something-else","schemaVersion":9}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var jce *JournalConfigError
-	if _, err := OpenJournal(path, "whatever"); !errors.As(err, &jce) {
-		t.Fatalf("OpenJournal on foreign journal = %v, want *JournalConfigError", err)
-	}
-	if jce.Field != "kind" {
-		t.Errorf("rejected on %q, want kind", jce.Field)
-	}
-}
-
-// TestJournalRejectsForeignConfig is the regression test for the resume
-// config-binding bug: a journal written by a different workload matrix has
-// the right kind and schema but a different configuration fingerprint, and
-// must be rejected typed — both at open and at resume — instead of
-// preloading cells the run never asked for.
-func TestJournalRejectsForeignConfig(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.journal.jsonl")
-
-	optA := chaosOpts(t)
-	j, err := OpenJournal(path, optA.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	// The same matrix at a different scale is a different configuration:
-	// every cell key embeds TargetInstr, so optB's run can never use optA's
-	// records.
-	optB := chaosOpts(t)
-	for i := range optB.Workloads {
-		optB.Workloads[i].TargetInstr *= 2
-	}
-	if optA.Fingerprint() == optB.Fingerprint() {
-		t.Fatal("scaled matrix produced an identical fingerprint")
-	}
-	var jce *JournalConfigError
-	if _, err := OpenJournal(path, optB.Fingerprint()); !errors.As(err, &jce) {
-		t.Fatalf("OpenJournal under foreign config = %v, want *JournalConfigError", err)
-	}
-	if jce.Field != "fingerprint" {
-		t.Errorf("rejected on %q, want fingerprint", jce.Field)
-	}
-
-	// Resume revalidates even if the handle predates the mismatch (the file
-	// may have been swapped between open and resume).
-	good, err := OpenJournal(path, optA.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer good.Close()
-	if err := os.WriteFile(path, []byte(
-		`{"kind":"ignite.run-journal","schemaVersion":1,"fingerprint":"someone-else"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := good.Resume(NewCellCache()); !errors.As(err, &jce) {
-		t.Errorf("Resume after fingerprint swap = %v, want *JournalConfigError", err)
 	}
 }
 

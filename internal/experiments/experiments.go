@@ -6,8 +6,6 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -77,11 +75,9 @@ type Options struct {
 	// the cell cache key.
 	MaxCycles uint64
 	// Retries caps transient-failure retries per cell: 0 means the
-	// default (2), negative disables retrying entirely.
+	// default (DefaultRetries), negative disables retrying entirely. The
+	// delay before each retry is RetryDelay(attempt).
 	Retries int
-	// RetryBackoff is the initial delay before a retry, doubled per
-	// attempt and capped at 2s (default 5ms).
-	RetryBackoff time.Duration
 	// Faults arms a deterministic fault-injection plan (see
 	// internal/faults): before each cell simulates, the plan may panic,
 	// delay, or fail that attempt at its (experiment, workload, config)
@@ -89,19 +85,10 @@ type Options struct {
 	// so cached results are never poisoned by an injected failure and a
 	// retried cell is bit-identical to a clean one.
 	Faults *faults.Plan
-	// Journal, when set, records every computed cell (CRC-guarded,
-	// fsynced appends) so an interrupted run can be resumed with
-	// Journal.Resume instead of recomputing finished cells.
-	Journal *Journal
 	// Health, when set, accumulates run-health counters: panics
 	// recovered, transient retries, deadline hits, failed and skipped
 	// cells.
 	Health *obs.RunHealth
-	// serialConfigs restores the pre-scheduler execution shape — one
-	// goroutine per workload running its configurations serially — and is
-	// kept only so benchmarks can measure the old path (see
-	// BenchmarkRunAllSerialNoCache in this package).
-	serialConfigs bool
 }
 
 func (o Options) withDefaults() Options {
@@ -115,29 +102,6 @@ func (o Options) withDefaults() Options {
 		o.Checks = true
 	}
 	return o
-}
-
-// Fingerprint hashes the run configuration's contribution to cell cache
-// keys: the sorted spec keys of the workload matrix (name, instruction
-// budget, generator parameters, data profile — everything a -scale or
-// -workloads flag changes). Two runs share a fingerprint exactly when
-// every cell key one run can produce is a key the other can produce, which
-// is the condition under which replaying one run's journal into the other
-// is sound. Journals and distributed-sweep stores embed it so cross-run
-// artifacts are bound to the configuration that wrote them.
-func (o Options) Fingerprint() string {
-	o = o.withDefaults()
-	keys := make([]string, len(o.Workloads))
-	for i, s := range o.Workloads {
-		keys[i] = specKey(s)
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // Result is a reproduced table/figure: a rendered table plus the raw values
@@ -396,17 +360,14 @@ type matrix struct {
 // definitive cell failure cancels unstarted cells and the run returns the
 // joined errors; under ContinueOnError every healthy cell completes and
 // the failures ride on the returned matrix instead. Every finished cell is
-// announced to opt.Tracer and appended to opt.Journal.
+// announced to opt.Tracer.
 func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*matrix, error) {
 	opt = opt.withDefaults()
 	cache := opt.Cache
 	if cache == nil {
 		// Private per-matrix cache: no cross-experiment reuse, but still
-		// one program build per workload. The serial benchmark path
-		// replays the pre-scheduler cost model, which regenerated every
-		// invocation trace, so trace sharing stays off there.
+		// one program build per workload.
 		cache = NewCellCache()
-		cache.shareTraces = !opt.serialConfigs
 	}
 	m := &matrix{
 		cells:     make(map[string]map[string]*cell, len(opt.Workloads)),
@@ -439,11 +400,6 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", spec.Name, rc.Name, err)
 		}
-		if opt.Journal != nil {
-			if err := opt.Journal.Record(cellKey(spec, rc), site, c, opt.Faults); err != nil {
-				return fmt.Errorf("%s/%s: journal: %w", spec.Name, rc.Name, err)
-			}
-		}
 		store(spec.Name, rc.Name, c)
 		if tr := opt.Tracer; tr != nil {
 			if cached {
@@ -463,26 +419,12 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 	}
 
 	sched := newScheduler(ctx, id, opt)
-	if opt.serialConfigs {
-		for _, spec := range opt.Workloads {
-			spec := spec
-			sched.submit(spec.Name, "*", func(cctx context.Context, _ int) error {
-				for _, rc := range configs {
-					if err := runCell(cctx, spec, rc); err != nil {
-						return err
-					}
-				}
-				return nil
+	for _, spec := range opt.Workloads {
+		for _, rc := range configs {
+			spec, rc := spec, rc
+			sched.submit(spec.Name, rc.Name, func(cctx context.Context, _ int) error {
+				return runCell(cctx, spec, rc)
 			})
-		}
-	} else {
-		for _, spec := range opt.Workloads {
-			for _, rc := range configs {
-				spec, rc := spec, rc
-				sched.submit(spec.Name, rc.Name, func(cctx context.Context, _ int) error {
-					return runCell(cctx, spec, rc)
-				})
-			}
 		}
 	}
 	m.outcomes = sched.wait()

@@ -116,7 +116,7 @@ func TestDocumentRoundTrip(t *testing.T) {
 // TestAllExperimentsExportDocuments runs every registered experiment on the
 // quick workload set through one shared cell cache and round-trips each
 // result through the exported file format — the programmatic version of
-// `ignite-sim -all -out dir/`.
+// `ignite-bench -exp all -out dir/`.
 func TestAllExperimentsExportDocuments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")

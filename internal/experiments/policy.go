@@ -84,11 +84,22 @@ type CellFailure struct {
 	Err      string
 }
 
-// Scheduler retry defaults: a transient failure is retried up to
-// defaultRetries times with capped exponential backoff starting at
-// defaultBackoff.
+// DefaultRetries is how many times the scheduler (unless Options.Retries
+// overrides it) and the serving batcher retry a transient cell failure.
+const DefaultRetries = 2
+
+// Capped exponential backoff between transient-failure retries.
 const (
-	defaultRetries = 2
-	defaultBackoff = 5 * time.Millisecond
-	maxBackoff     = 2 * time.Second
+	firstRetryDelay = 5 * time.Millisecond
+	maxRetryDelay   = 2 * time.Second
 )
+
+// RetryDelay returns the delay before retry #attempt (1-based): 5ms,
+// doubling per attempt, capped at 2s.
+func RetryDelay(attempt int) time.Duration {
+	d := firstRetryDelay << (attempt - 1)
+	if d > maxRetryDelay || d <= 0 {
+		d = maxRetryDelay
+	}
+	return d
+}

@@ -49,7 +49,6 @@ type scheduler struct {
 	policy  FailurePolicy
 	timeout time.Duration
 	retries int
-	backoff time.Duration
 	tracer  obs.Tracer
 	health  *obs.RunHealth
 
@@ -81,13 +80,9 @@ func newScheduler(ctx context.Context, id ID, opt Options) *scheduler {
 	retries := opt.Retries
 	switch {
 	case retries == 0:
-		retries = defaultRetries
+		retries = DefaultRetries
 	case retries < 0:
 		retries = 0
-	}
-	backoff := opt.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultBackoff
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	return &scheduler{
@@ -99,7 +94,6 @@ func newScheduler(ctx context.Context, id ID, opt Options) *scheduler {
 		policy:  opt.FailurePolicy,
 		timeout: opt.CellTimeout,
 		retries: retries,
-		backoff: backoff,
 		tracer:  opt.Tracer,
 		health:  opt.Health,
 	}
@@ -146,7 +140,7 @@ func (s *scheduler) supervise(idx int, wl, cfg string, fn func(ctx context.Conte
 			return
 		}
 		if s.ctx.Err() == nil && attempt <= s.retries && faults.IsTransient(err) {
-			d := s.backoffFor(attempt)
+			d := RetryDelay(attempt)
 			if s.health != nil {
 				s.health.Retries.Add(1)
 			}
@@ -200,15 +194,6 @@ func (s *scheduler) attempt(wl, cfg string, attempt int, fn func(ctx context.Con
 		s.health.Deadlines.Add(1)
 	}
 	return err
-}
-
-// backoffFor returns the capped exponential delay before retry #attempt.
-func (s *scheduler) backoffFor(attempt int) time.Duration {
-	d := s.backoff << (attempt - 1)
-	if d > maxBackoff || d <= 0 {
-		d = maxBackoff
-	}
-	return d
 }
 
 func (s *scheduler) skip(idx int, wl, cfg string) {

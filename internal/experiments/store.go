@@ -32,8 +32,7 @@ func (st *StoreStats) RegisterMetrics(reg *obs.Registry) {
 }
 
 // storeBacking adapts internal/store to the cell cache's CellBacking seam:
-// cell payloads marshal to the same JSON shape the journal records, keyed
-// by the canonical cell-cache key.
+// records hold the CellPayload JSON, keyed by the canonical cell-cache key.
 type storeBacking struct {
 	st    *store.Store
 	stats *StoreStats

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ignite/internal/faults"
 	"ignite/internal/lukewarm"
 	"ignite/internal/sim"
 	"ignite/internal/store"
@@ -79,6 +80,69 @@ func TestStoreWarmRerunByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(doc1, docBytes(t, res2, opt2)) {
 		t.Error("warm-store document differs from the cold run")
+	}
+}
+
+// TestStoreResumesInterruptedRun pins resume through the store. A fig1 run
+// that dies with one cell unfinished leaves an unsealed store; rerunning
+// over it serves the three finished cells from their self-CRC'd records,
+// recomputes the fourth, and lands on a document byte-identical to a clean
+// run without a store. A run under a different config (every instruction
+// budget doubled) over the same store gets no hits: it recomputes instead
+// of being served another config's cells.
+func TestStoreResumesInterruptedRun(t *testing.T) {
+	clean := chaosOpts(t)
+	clean.Cache = NewCellCache()
+	resClean, err := Run(context.Background(), "fig1", clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docClean := docBytes(t, resClean, clean)
+
+	// The run that died: one cell panics and the store is never sealed.
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	died, _ := storeOpts(t, st)
+	if died.Faults, err = faults.Parse("panic@fig1/Fib-G/b2b"); err != nil {
+		t.Fatal(err)
+	}
+	died.FailurePolicy = ContinueOnError
+	if _, err := Run(context.Background(), "fig1", died); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, stats := storeOpts(t, st2)
+	res, err := Run(context.Background(), "fig1", resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := stats.Hits.Value(), stats.Misses.Value(); hits != 3 || misses != 1 {
+		t.Errorf("resumed run: %d hits / %d misses, want 3 / 1 (only the unfinished cell recomputes)", hits, misses)
+	}
+	if !bytes.Equal(docClean, docBytes(t, res, resumed)) {
+		t.Error("resumed document differs from a clean run")
+	}
+
+	st3, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, stats := storeOpts(t, st3)
+	for i := range scaled.Workloads {
+		scaled.Workloads[i].TargetInstr *= 2
+	}
+	if _, err := Run(context.Background(), "fig1", scaled); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := stats.Hits.Value(), stats.Misses.Value(); hits != 0 || misses != 4 {
+		t.Errorf("foreign-config run: %d hits / %d misses, want 0 / 4", hits, misses)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package faults is a deterministic, seedable fault-injection registry for
 // the experiment pipeline. A Plan holds rules keyed by (experiment ID ×
 // workload × config); the runner fires the plan at well-defined sites and
-// the injected faults — panics, transient errors, slow cells, corrupted
-// persisted records — exercise exactly the recovery paths the scheduler
-// claims to have: per-cell isolation, retry with backoff, per-cell
-// deadlines, and journal-corruption detection.
+// the injected faults — panics, transient errors, slow cells — exercise
+// exactly the recovery paths the scheduler claims to have: per-cell
+// isolation, retry with backoff, and per-cell deadlines.
 //
 // Plans come from three places: programmatically (New/Add), from the
 // IGNITE_FAULTS environment variable (FromEnv), or the canonical Smoke plan
@@ -40,9 +39,6 @@ const (
 	// KindSlow delays the cell (honoring context cancellation) —
 	// exercises per-cell deadlines.
 	KindSlow Kind = "slow"
-	// KindCorrupt corrupts the cell's persisted journal record —
-	// exercises crash-safe resume's corruption detection.
-	KindCorrupt Kind = "corrupt"
 
 	// Network fault kinds fire at the transport boundary (see Transport and
 	// WrapListener in net.go), never at cell sites: their rule sites are
@@ -148,9 +144,10 @@ func New(seed uint64) *Plan {
 //
 //	kind@experiment/workload/config[:key=val,...]
 //
-// where kind is panic|transient|slow|corrupt, each site component may be
-// "*", and the options are trips=N (default 1), delay=DUR (slow faults,
-// default 250ms), and rate=F in (0,1] (seeded-hash site selection).
+// where kind is panic|transient|slow (or a network kind, see net.go), each
+// site component may be "*", and the options are trips=N (default 1),
+// delay=DUR (slow faults, default 250ms), and rate=F in (0,1] (seeded-hash
+// site selection).
 func (p *Plan) Add(spec string) error {
 	// Options are cut at the last ':' whose tail is key=val shaped — not the
 	// first — because network sites legitimately contain colons
@@ -165,7 +162,7 @@ func (p *Plan) Add(spec string) error {
 	}
 	r := rule{kind: Kind(kindStr), trips: 1, delay: 250 * time.Millisecond}
 	switch r.kind {
-	case KindPanic, KindTransient, KindSlow, KindCorrupt,
+	case KindPanic, KindTransient, KindSlow,
 		KindConnReset, KindSlowNet, KindTruncatedBody, KindGarbageJSON:
 	default:
 		return fmt.Errorf("faults: rule %q: unknown kind %q", spec, kindStr)
@@ -334,14 +331,4 @@ func (p *Plan) Fire(ctx context.Context, s Site) error {
 		return &TransientError{Site: s, Trip: r.trips}
 	}
 	return nil
-}
-
-// CorruptRecord reports whether the persisted record for the site should be
-// corrupted (a KindCorrupt rule matched and had trips left). Nil-safe.
-func (p *Plan) CorruptRecord(s Site) bool {
-	if p == nil {
-		return false
-	}
-	_, ok := p.fire(s, KindCorrupt)
-	return ok
 }

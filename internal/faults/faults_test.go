@@ -56,7 +56,7 @@ func TestParseAndFire(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"", "nonsense", "explode@a/b/c", "panic@a/b", "panic@a/b/c:trips=0",
+		"", "nonsense", "explode@a/b/c", "corrupt@a/b/c", "panic@a/b", "panic@a/b/c:trips=0",
 		"slow@a/b/c:delay=-1s", "transient@a/b/c:rate=2", "panic@a/b/c:wat=1",
 	} {
 		if _, err := Parse(bad); err == nil {
@@ -121,35 +121,10 @@ func TestRateSelectionDeterministic(t *testing.T) {
 	}
 }
 
-func TestCorruptRecord(t *testing.T) {
-	p, err := Parse("corrupt@fig1/A/nl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Site{"fig1", "A", "nl"}
-	if !p.CorruptRecord(s) {
-		t.Error("corrupt rule did not fire")
-	}
-	if p.CorruptRecord(s) {
-		t.Error("corrupt rule fired past its trip count")
-	}
-	// Corrupt rules must not leak into Fire.
-	p2, _ := Parse("corrupt@fig1/A/nl")
-	if err := p2.Fire(context.Background(), s); err != nil {
-		t.Errorf("Fire consumed a corrupt rule: %v", err)
-	}
-	if !p2.CorruptRecord(s) {
-		t.Error("corrupt rule consumed by Fire")
-	}
-}
-
 func TestNilPlanIsSafe(t *testing.T) {
 	var p *Plan
 	if err := p.Fire(context.Background(), Site{}); err != nil {
 		t.Error(err)
-	}
-	if p.CorruptRecord(Site{}) {
-		t.Error("nil plan corrupted")
 	}
 }
 

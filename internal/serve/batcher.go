@@ -17,9 +17,6 @@ const (
 	defaultMaxWait   = 2 * time.Millisecond
 	defaultQueueSize = 1024
 	defaultWorkers   = 2
-	defaultRetries   = 2
-	defaultBackoff   = 5 * time.Millisecond
-	maxBackoff       = 2 * time.Second
 )
 
 // batchRequest is one caller waiting for a cell.
@@ -60,11 +57,9 @@ type pendingBatch struct {
 // write lock to flip closed before closing the channel, so a drain never
 // races a send.
 type Batcher struct {
-	cache   *experiments.CellCache
-	env     experiments.CellEnv
-	faults  *faults.Plan
-	retries int
-	backoff time.Duration
+	cache  *experiments.CellCache
+	env    experiments.CellEnv
+	faults *faults.Plan
 
 	in       chan *batchRequest
 	maxBatch int
@@ -95,8 +90,6 @@ type BatcherConfig struct {
 	MaxWait  time.Duration
 	Queue    int // admission queue capacity
 	Workers  int // concurrent cell computations
-	Retries  int
-	Backoff  time.Duration
 }
 
 // NewBatcher starts a batcher and registers its metric family into reg.
@@ -116,20 +109,10 @@ func NewBatcher(cfg BatcherConfig, reg *obs.Registry) *Batcher {
 	if cfg.Workers <= 0 {
 		cfg.Workers = defaultWorkers
 	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = defaultRetries
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = defaultBackoff
-	}
 	b := &Batcher{
 		cache:    cfg.Cache,
 		env:      cfg.Env,
 		faults:   cfg.Faults,
-		retries:  cfg.Retries,
-		backoff:  cfg.Backoff,
 		in:       make(chan *batchRequest, cfg.Queue),
 		maxBatch: cfg.MaxBatch,
 		maxWait:  cfg.MaxWait,
@@ -305,13 +288,9 @@ func (b *Batcher) run(spec experiments.CellSpec) (cell *experiments.ServedCell, 
 		if err == nil {
 			return cell, cached, nil
 		}
-		if attempt <= b.retries && faults.IsTransient(err) {
+		if attempt <= experiments.DefaultRetries && faults.IsTransient(err) {
 			b.mRetries.Inc()
-			d := b.backoff << (attempt - 1)
-			if d > maxBackoff || d <= 0 {
-				d = maxBackoff
-			}
-			time.Sleep(d)
+			time.Sleep(experiments.RetryDelay(attempt))
 			continue
 		}
 		return nil, false, err

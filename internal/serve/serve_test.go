@@ -266,7 +266,7 @@ func TestBatcherRetriesTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	b := NewBatcher(BatcherConfig{Faults: plan, MaxWait: time.Millisecond, Backoff: time.Millisecond}, reg)
+	b := NewBatcher(BatcherConfig{Faults: plan, MaxWait: time.Millisecond}, reg)
 	defer b.Close()
 
 	cell, _, _, envErr := b.Submit(context.Background(), testSpec(t, "Auth-G"))

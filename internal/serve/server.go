@@ -55,8 +55,6 @@ type Config struct {
 	MaxWait  time.Duration
 	Queue    int
 	Workers  int
-	Retries  int
-	Backoff  time.Duration
 
 	// RequestTimeout is the default per-request deadline; a request's
 	// timeoutMs may shorten or extend it up to 5 minutes.
@@ -126,8 +124,6 @@ func NewServer(cfg Config) *Server {
 			MaxWait:  cfg.MaxWait,
 			Queue:    cfg.Queue,
 			Workers:  cfg.Workers,
-			Retries:  cfg.Retries,
-			Backoff:  cfg.Backoff,
 		}, reg),
 		start:  time.Now(),
 		served: make(chan error, 1),

@@ -7,9 +7,9 @@
 //
 // Integrity posture, strongest first:
 //
-//   - every record carries the IEEE CRC-32 of its payload (the same guard
-//     the run journal uses); a bit-flipped or torn record fails Get with a
-//     *CorruptionError instead of being served;
+//   - every record carries the IEEE CRC-32 of its payload; a bit-flipped or
+//     torn record fails Get with a *CorruptionError instead of being
+//     served;
 //   - a sealed store additionally has MANIFEST.json: the (hash, CRC) pairs
 //     of every record under a Merkle root. Open recomputes the root; any
 //     bit flip in the manifest — a leaf, the root, the structure — marks
@@ -17,8 +17,9 @@
 //     store is resealed (a wholesale-rewritten record, whose self-CRC is
 //     consistent by construction, is still caught by its manifest leaf);
 //   - records written after the last Seal are served on their self-CRC
-//     alone, so concurrent workers can keep appending to a sealed store;
-//     the next Seal folds them in.
+//     alone, so concurrent workers can keep appending to a sealed store,
+//     and rerunning an interrupted sweep over its never-sealed store
+//     resumes it; the next Seal folds them in.
 //
 // Corruption is always a recoverable miss for exactly the damaged cell:
 // callers count the detection and recompute, and Put replaces the bad
@@ -40,8 +41,7 @@ import (
 )
 
 // Format constants. Records and the manifest are versioned the same way
-// the run journal and result documents are: unknown kinds or schema
-// versions fail loudly.
+// result documents are: unknown kinds or schema versions fail loudly.
 const (
 	recordKind    = "ignite.cell-record"
 	manifestKind  = "ignite.store-manifest"

@@ -70,8 +70,8 @@ go test -run 'TestMutationSmoke|TestVerifyResult' ./internal/check
 go test -run TestProperties ./internal/check/props
 
 # Chaos pass: the full experiment sweep under the canonical smoke fault plan
-# (one panic, one transient, one slow cell) plus the journal/scheduler chaos
-# tests. The -race sweep above already runs these; the named pass keeps the
+# (one panic, one transient, one slow cell) plus the scheduler chaos tests.
+# The -race sweep above already runs these; the named pass keeps the
 # fault-tolerance path visible on its own and honors a custom IGNITE_FAULTS.
 IGNITE_FAULTS=smoke go test ./internal/experiments -run Chaos
 
@@ -205,19 +205,4 @@ go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
   test "$root_cold" = "$root_warm"
 )
 
-# Resume smoke: a journaled run, then a second run resumed from that journal
-# into a different output dir — the exported documents must match except for
-# the generation timestamp.
-(
-  cd "$smoke"
-  ./ignite-bench \
-    -exp fig1 -workloads Fib-G -target-instr 200000 \
-    -journal run.journal.jsonl -out resume-a >/dev/null
-  ./ignite-bench \
-    -exp fig1 -workloads Fib-G -target-instr 200000 \
-    -journal run.journal.jsonl -resume -out resume-b >/dev/null
-  diff <(grep -v '"generated"' resume-a/fig1.json) \
-       <(grep -v '"generated"' resume-b/fig1.json)
-)
-
-echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke, resume)"
+echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke)"
