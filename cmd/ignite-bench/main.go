@@ -293,8 +293,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dist: %d task(s) completed remotely, %d steal(s), %d failover(s)\n",
 			tasks, steals, failovers)
 		h := coord.Health()
-		fmt.Fprintf(os.Stderr, "dist: %d worker failure(s), %d quarantine(s), %d readmit(s), %d probe(s), %d hedge(s) (%d won)\n",
-			h.Failures, h.Quarantines, h.Readmits, h.Probes, h.Hedges, h.HedgeWins)
+		fmt.Fprintf(os.Stderr, "dist: %d worker failure(s), %d quarantine(s), %d readmit(s), %d probe(s), %d re-dispatch(es)\n",
+			h.Failures, h.Quarantines, h.Readmits, h.Probes, h.Redispatches)
 	}
 	if super != nil {
 		fmt.Fprintf(os.Stderr, "dist: %d worker restart(s)\n", super.Restarts())

@@ -9,12 +9,12 @@
 //  1. Serial baseline: every experiment computed in-process on a fresh
 //     cell cache; its documents are the ground truth.
 //  2. Chaos sweep: a supervised local fleet (dist.Supervisor) computes the
-//     same experiments through a coordinator with breakers, probing and
-//     hedging, persisting cells into a content-addressed store — while a
-//     killer goroutine SIGKILLs random workers (waiting for the fleet to
-//     heal between murders) and an optional faults.Plan injects network
-//     chaos on the coordinator's transport. Every document must equal the
-//     baseline byte for byte, and no cell may be lost.
+//     same experiments through a coordinator with health probing, failover
+//     and dispatch rounds, persisting cells into a content-addressed
+//     store — while a killer goroutine SIGKILLs random workers (waiting
+//     for the fleet to heal between murders) and an optional faults.Plan
+//     injects network chaos on the coordinator's transport. Every document
+//     must equal the baseline byte for byte, and no cell may be lost.
 //  3. Health check: after the sweep, every (restarted) worker must be
 //     re-admitted by the prober, and the store seals to a Merkle root.
 //  4. Warm replay: a fresh cache served purely from the store recomputes
@@ -166,8 +166,8 @@ func diffContext(want, got []byte) string {
 	return fmt.Sprintf("lengths differ: baseline %d, got %d", len(want), len(got))
 }
 
-// waitHealthy polls until every worker breaker is closed, the deadline
-// passes, or stop closes.
+// waitHealthy polls until every worker is up, the deadline passes, or
+// stop closes.
 func waitHealthy(coord *dist.Coordinator, timeout time.Duration, stop <-chan struct{}) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -205,7 +205,6 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		Workers:        o.Workers,
 		Command:        o.Command,
 		RestartBackoff: 100 * time.Millisecond,
-		BackoffCap:     time.Second,
 		Log:            func(format string, args ...any) { o.Log("supervisor: "+format, args...) },
 	})
 	if err != nil {
@@ -213,12 +212,9 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	}
 	defer sup.Close()
 	coord, err := dist.NewCoordinator(dist.CoordinatorOptions{
-		Addrs:           sup.Addrs(),
-		Client:          &http.Client{Transport: faults.NewTransport(o.Net, nil)},
-		ProbeInterval:   50 * time.Millisecond,
-		ProbeBackoffCap: 500 * time.Millisecond,
-		ProbeTimeout:    time.Second,
-		HealthyEvery:    4,
+		Addrs:         sup.Addrs(),
+		Client:        &http.Client{Transport: faults.NewTransport(o.Net, nil)},
+		ProbeInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, err

@@ -10,12 +10,25 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ignite/internal/experiments"
 	"ignite/internal/faults"
 	"ignite/internal/obs"
 )
+
+const (
+	// probeTimeout bounds one /v1/health probe. A worker that gives no
+	// HTTP answer within it is treated as stalled (see probe).
+	probeTimeout = 2 * time.Second
+	// healthyEvery is how many prober ticks pass between probes of a
+	// worker that is up; down workers are probed every tick.
+	healthyEvery = 8
+)
+
+// errNoAnswer ends the attempts the prober abandons on a silent worker.
+var errNoAnswer = errors.New("no answer to health probe (worker stalled or dead)")
 
 // CoordinatorOptions configures a coordinator.
 type CoordinatorOptions struct {
@@ -32,52 +45,19 @@ type CoordinatorOptions struct {
 	// context). Wrap its transport with faults.NewTransport to inject
 	// network chaos.
 	Client *http.Client
-
-	// Circuit breaker: a worker opens (quarantine) when its sliding window
-	// of the last FailureWindow attempt outcomes holds at least MinSamples
-	// outcomes and the failure fraction reaches FailureRate. Defaults:
-	// window 16, rate 0.5, min 3.
-	FailureWindow int
-	FailureRate   float64
-	MinSamples    int
-
-	// Prober: quarantined workers are probed on /v1/health with capped
-	// exponential backoff (ProbeInterval base, doubling to
-	// ProbeBackoffCap); a successful probe re-admits the worker
-	// (half-open), and a second success — or one successful trial task —
-	// closes the breaker. Healthy workers are also watched every
-	// HealthyEvery probe ticks, so a silently dead worker flips the health
-	// gauge without sacrificing a task. Defaults: interval 500ms, cap 8s,
-	// probe timeout 2s, healthy cadence every 8 ticks. DisableProbing
-	// turns the background prober off (unit tests that want deterministic
-	// breaker states).
-	ProbeInterval   time.Duration
-	ProbeBackoffCap time.Duration
-	ProbeTimeout    time.Duration
-	HealthyEvery    int
-	DisableProbing  bool
-
-	// Hedging: when an attempt outlives the worker's HedgeQuantile recent
-	// latency (HedgeFallback before enough samples exist, floored at
-	// HedgeMin), a duplicate attempt launches on an untried worker; the
-	// first success wins and the loser is canceled. Safe because cells are
-	// deterministic and the cell cache single-flights — a hedge can only
-	// waste cycles, never fork results. At most one hedge per task.
-	// Defaults: quantile 0.95, fallback 2s, min 100ms.
-	HedgeQuantile  float64
-	HedgeFallback  time.Duration
-	HedgeMin       time.Duration
-	DisableHedging bool
-
+	// ProbeInterval is the health prober's tick (default 500ms). Down
+	// workers are probed every tick and re-admitted on a healthy answer;
+	// up workers are probed every 8th tick, so a silently dead or stalled
+	// worker is found without sacrificing a task.
+	ProbeInterval time.Duration
 	// MaxDispatchRounds bounds how many fleet-wide dispatch rounds one
 	// cell gets before a transient failure surfaces to the caller
 	// (default 12; 1 = surface after the first round). Within a round a
-	// task fails over across every admitting worker; between rounds
-	// Remote waits with capped backoff while the supervisor restarts and
-	// the prober re-admits workers. Infrastructure failures are the
-	// dist layer's to absorb: a surfaced retry would mark the cell
-	// "retried" in the result document and break byte-identity with a
-	// fault-free run.
+	// task fails over across every up worker; between rounds Remote waits
+	// with capped backoff while the supervisor restarts and the prober
+	// re-admits workers. Infrastructure failures are the dist layer's to
+	// absorb: a surfaced retry would mark the cell "retried" in the result
+	// document and break byte-identity with a fault-free run.
 	MaxDispatchRounds int
 }
 
@@ -85,35 +65,8 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.Slots <= 0 {
 		o.Slots = 4
 	}
-	if o.FailureWindow <= 0 {
-		o.FailureWindow = 16
-	}
-	if o.FailureRate <= 0 {
-		o.FailureRate = 0.5
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 3
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.ProbeBackoffCap <= 0 {
-		o.ProbeBackoffCap = 8 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.HealthyEvery <= 0 {
-		o.HealthyEvery = 8
-	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = 0.95
-	}
-	if o.HedgeFallback <= 0 {
-		o.HedgeFallback = 2 * time.Second
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = 100 * time.Millisecond
 	}
 	if o.MaxDispatchRounds <= 0 {
 		o.MaxDispatchRounds = 12
@@ -122,27 +75,18 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 }
 
 // task is one queued cell: the wire request plus the channel its waiting
-// RemoteFunc call blocks on. A task may have several concurrent attempts
-// (hedging, failover races); the first complete() wins, the rest are
-// canceled and discarded without blame.
+// RemoteFunc call blocks on. A task is always in exactly one place — one
+// worker's queue or the runner attempting it — so it has at most one
+// attempt in flight, and its holder completes it exactly once.
 type task struct {
 	ctx  context.Context
 	req  TaskRequest
-	home int
-	done chan taskResult
-
-	mu        sync.Mutex
-	completed bool
+	done chan taskResult // buffered: complete never blocks
 	// tried marks workers whose attempt failed, so each worker attempts a
-	// task at most once per coordinator round — a dead worker's runners
-	// cannot burn a task's failover budget by re-stealing it.
+	// task at most once per dispatch round — a dead worker's runners
+	// cannot burn a task's failover budget by re-stealing it. Guarded by
+	// Coordinator.mu.
 	tried []bool
-	// inflight maps worker index → cancel func of its running attempt.
-	inflight map[int]context.CancelFunc
-	// hedges counts duplicate attempts launched (capped at 1);
-	// hedgePending attributes the next beginAttempt to a hedge launch.
-	hedges       int
-	hedgePending int
 }
 
 type taskResult struct {
@@ -150,85 +94,20 @@ type taskResult struct {
 	err     error
 }
 
-// complete finishes the task exactly once: later calls are no-ops. The
-// winning result lands in the buffered done channel and every other
-// in-flight attempt is canceled.
-func (t *task) complete(p experiments.CellPayload, err error) bool {
-	t.mu.Lock()
-	if t.completed {
-		t.mu.Unlock()
-		return false
-	}
-	t.completed = true
-	t.done <- taskResult{payload: p, err: err} // buffered; never blocks
-	cancels := make([]context.CancelFunc, 0, len(t.inflight))
-	for _, fn := range t.inflight {
-		cancels = append(cancels, fn)
-	}
-	t.mu.Unlock()
-	for _, fn := range cancels {
-		fn()
-	}
-	return true
+func (t *task) complete(p experiments.CellPayload, err error) {
+	t.done <- taskResult{payload: p, err: err}
 }
 
-func (t *task) isCompleted() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.completed
-}
-
-// runnableBy reports whether worker i may attempt the task: not finished,
-// not already failed by i, not currently being attempted by i.
-func (t *task) runnableBy(i int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return !t.completed && !t.tried[i] && t.inflight[i] == nil
-}
-
-// beginAttempt registers worker i's attempt: a per-attempt context (child
-// of the task's own, so a completed task can cancel the stragglers) and
-// whether this attempt is a hedge. Nil context when the task no longer
-// needs attempts.
-func (t *task) beginAttempt(i int) (context.Context, context.CancelFunc, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.completed || t.tried[i] || t.inflight[i] != nil {
-		return nil, nil, false
-	}
-	base := t.ctx
-	if base == nil {
-		base = context.Background()
-	}
-	actx, cancel := context.WithCancel(base)
-	t.inflight[i] = cancel
-	isHedge := false
-	if t.hedgePending > 0 {
-		t.hedgePending--
-		isHedge = true
-	}
-	return actx, cancel, isHedge
-}
-
-func (t *task) endAttempt(i int) {
-	t.mu.Lock()
-	delete(t.inflight, i)
-	t.mu.Unlock()
-}
-
-// workerState is the coordinator's view of one worker: its circuit breaker,
-// recent-latency quantile tracker (hedge-delay input), and the
-// prober-owned backoff bookkeeping.
+// workerState is the coordinator's view of one worker: one health bit and
+// the attempts running on it, which the prober abandons when the worker
+// stops answering.
 type workerState struct {
 	addr  string
-	br    *breaker
-	lat   latQuantile
+	up    atomic.Bool
 	tasks obs.Counter
 
-	// probeGap/probeWait implement the capped exponential probe backoff in
-	// prober ticks. Only the probe loop touches them.
-	probeGap  int
-	probeWait int
+	mu      sync.Mutex
+	running map[*task]context.CancelCauseFunc
 }
 
 // Coordinator shards cells across a worker fleet. Each worker owns a FIFO
@@ -237,12 +116,10 @@ type workerState struct {
 // in-process cache serves repeats. Runner goroutines (Slots per worker)
 // drain their own queue first and steal from the longest other queue when
 // idle — a straggler workload queues behind nothing. A failed attempt
-// fails over to an untried worker until every admitting worker has had a
-// try, then surfaces a transient *WorkerError for the experiment
-// scheduler's retry machinery. Per-worker circuit breakers quarantine
-// repeat offenders, a background prober re-admits them on /v1/health
-// evidence, and attempts that outlive the worker's latency quantile are
-// hedged on a second worker.
+// marks its worker down and fails over to an untried up worker; a round
+// that has no such worker left is re-dispatched after a capped backoff
+// (Remote). A background prober re-admits down workers on /v1/health
+// evidence and rescues attempts stuck on a worker that stopped answering.
 type Coordinator struct {
 	opts    CoordinatorOptions
 	workers []*workerState
@@ -258,18 +135,16 @@ type Coordinator struct {
 	mTasks         obs.Counter
 	mSteals        obs.Counter
 	mFailovers     obs.Counter
+	mRedispatches  obs.Counter
 	mFailures      obs.Counter
 	mQuarantines   obs.Counter
 	mProbes        obs.Counter
 	mProbeFailures obs.Counter
 	mReadmits      obs.Counter
-	mHedges        obs.Counter
-	mHedgeWins     obs.Counter
 }
 
 // NewCoordinator starts a coordinator over the given workers, its runner
-// goroutines, and (unless disabled) the health prober. Close releases
-// them.
+// goroutines, and the health prober. Close releases them.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if len(opts.Addrs) == 0 {
 		return nil, fmt.Errorf("dist: coordinator needs at least one worker address")
@@ -286,12 +161,9 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	c.cond = sync.NewCond(&c.mu)
 	for _, addr := range opts.Addrs {
-		c.workers = append(c.workers, &workerState{
-			addr:      addr,
-			br:        newBreaker(opts.FailureWindow, opts.MinSamples, opts.FailureRate),
-			probeGap:  1,
-			probeWait: 1,
-		})
+		w := &workerState{addr: addr, running: make(map[*task]context.CancelCauseFunc)}
+		w.up.Store(true)
+		c.workers = append(c.workers, w)
 	}
 	for i := range c.workers {
 		for s := 0; s < opts.Slots; s++ {
@@ -299,31 +171,33 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 			go c.runner(i)
 		}
 	}
-	if !opts.DisableProbing {
-		c.wg.Add(1)
-		go c.probeLoop()
-	}
+	c.wg.Add(1)
+	go c.probeLoop()
 	return c, nil
 }
 
 // RegisterMetrics exports the coordinator's counters and per-worker health
-// gauges on reg. dist.worker_health renders the breaker state: 1 closed
-// (serving), 0.5 half-open (probation), 0 open (quarantined).
+// gauges on reg. dist.worker_health is 1 while the worker is up, 0 while
+// it is quarantined.
 func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	l := obs.L("component", "dist")
 	reg.CounterFunc("dist.tasks", l, c.mTasks.Value)
 	reg.CounterFunc("dist.steals", l, c.mSteals.Value)
 	reg.CounterFunc("dist.failovers", l, c.mFailovers.Value)
+	reg.CounterFunc("dist.redispatches", l, c.mRedispatches.Value)
 	reg.CounterFunc("dist.worker_failures", l, c.mFailures.Value)
 	reg.CounterFunc("dist.worker_quarantines", l, c.mQuarantines.Value)
 	reg.CounterFunc("dist.probes", l, c.mProbes.Value)
 	reg.CounterFunc("dist.probe_failures", l, c.mProbeFailures.Value)
 	reg.CounterFunc("dist.worker_readmits", l, c.mReadmits.Value)
-	reg.CounterFunc("dist.hedges", l, c.mHedges.Value)
-	reg.CounterFunc("dist.hedge_wins", l, c.mHedgeWins.Value)
 	for _, w := range c.workers {
 		wl := obs.L("component", "dist", "worker", w.addr)
-		reg.GaugeFunc("dist.worker_health", wl, w.br.gauge)
+		reg.GaugeFunc("dist.worker_health", wl, func() float64 {
+			if w.up.Load() {
+				return 1
+			}
+			return 0
+		})
 		reg.CounterFunc("dist.worker_tasks", wl, w.tasks.Value)
 	}
 }
@@ -337,12 +211,11 @@ func (c *Coordinator) Stats() (tasks, steals, failovers uint64) {
 // HealthStats is the self-healing layer's counter snapshot.
 type HealthStats struct {
 	Failures      uint64 // failed worker attempts
-	Quarantines   uint64 // breaker transitions to open
+	Quarantines   uint64 // workers marked down
 	Probes        uint64 // health probes sent
 	ProbeFailures uint64 // probes that failed
-	Readmits      uint64 // quarantined workers re-admitted by a probe
-	Hedges        uint64 // duplicate attempts launched
-	HedgeWins     uint64 // tasks won by the hedged attempt
+	Readmits      uint64 // down workers marked up again
+	Redispatches  uint64 // dispatch rounds after a cell's first
 }
 
 // Health returns the self-healing counters.
@@ -353,16 +226,15 @@ func (c *Coordinator) Health() HealthStats {
 		Probes:        c.mProbes.Value(),
 		ProbeFailures: c.mProbeFailures.Value(),
 		Readmits:      c.mReadmits.Value(),
-		Hedges:        c.mHedges.Value(),
-		HedgeWins:     c.mHedgeWins.Value(),
+		Redispatches:  c.mRedispatches.Value(),
 	}
 }
 
-// WorkersHealthy reports whether every worker's breaker is closed — the
-// chaos harness polls it to assert a restarted worker was re-admitted.
+// WorkersHealthy reports whether every worker is up — the chaos harness
+// polls it to assert a restarted worker was re-admitted.
 func (c *Coordinator) WorkersHealthy() bool {
 	for _, w := range c.workers {
-		if w.br.current() != stateClosed {
+		if !w.up.Load() {
 			return false
 		}
 	}
@@ -392,10 +264,19 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// kick wakes every idle runner so it re-evaluates breaker states and
-// queues. Taking the lock around Broadcast closes the check-then-wait race
-// with runners.
-func (c *Coordinator) kick() {
+// mark records a health verdict on w. A change of state counts as a
+// quarantine or a readmission and wakes idle runners, which re-evaluate
+// what they may run; taking the lock around Broadcast closes the
+// check-then-wait race with next.
+func (c *Coordinator) mark(w *workerState, up bool) {
+	if !w.up.CompareAndSwap(!up, up) {
+		return
+	}
+	if up {
+		c.mReadmits.Inc()
+	} else {
+		c.mQuarantines.Inc()
+	}
 	c.mu.Lock()
 	c.cond.Broadcast()
 	c.mu.Unlock()
@@ -411,7 +292,7 @@ func (c *Coordinator) home(key string) int {
 // Remote returns the RemoteFunc to install on the sweep's cell cache
 // (experiments.CellCache.SetRemote): each call ships one cell to the fleet
 // and blocks until it is computed, fails permanently, or ctx ends. A round
-// that fails transiently on every admitting worker (a mid-heal window: the
+// that fails transiently on every up worker (a mid-heal window: the
 // supervisor is restarting a victim, the prober has not re-admitted it yet)
 // is re-dispatched after a capped backoff, up to MaxDispatchRounds — the
 // dist layer absorbs infrastructure weather so it never surfaces as a cell
@@ -430,15 +311,16 @@ func (c *Coordinator) Remote() experiments.RemoteFunc {
 		}
 		backoff := 50 * time.Millisecond
 		for round := 1; ; round++ {
-			t := &task{
-				ctx:      ctx,
-				req:      req,
-				home:     c.home(req.Key),
-				tried:    make([]bool, len(c.workers)),
-				inflight: make(map[int]context.CancelFunc),
-				done:     make(chan taskResult, 1),
+			if round > 1 {
+				c.mRedispatches.Inc()
 			}
-			if err := c.enqueue(t, t.home); err != nil {
+			t := &task{
+				ctx:   ctx,
+				req:   req,
+				tried: make([]bool, len(c.workers)),
+				done:  make(chan taskResult, 1),
+			}
+			if err := c.enqueue(t, c.home(req.Key)); err != nil {
 				return experiments.CellPayload{}, err
 			}
 			var r taskResult
@@ -480,21 +362,19 @@ func (c *Coordinator) enqueue(t *task, worker int) error {
 	return nil
 }
 
-// next blocks until worker i may run a task. An admitting worker (breaker
-// closed, or half-open with the trial slot free) serves the head of its own
-// queue first, then steals the tail of the longest other queue. A
-// non-admitting worker serves only last-resort tasks — ones no admitting
-// untried worker could run — so quarantine can never strand a task that has
-// nowhere else to go. Returns nil when the coordinator closes.
+// next blocks until worker i may run a task. An up worker serves the head
+// of its own queue first, then steals the tail of the longest other queue.
+// A down worker serves only last-resort tasks — ones no up untried worker
+// could run — so quarantine can never strand a task that has nowhere else
+// to go. Returns nil when the coordinator closes.
 func (c *Coordinator) next(i int) (t *task, stolen bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.workers[i]
 	for {
 		if c.closed {
 			return nil, false
 		}
-		if w.br.acquireAttempt() {
+		if c.workers[i].up.Load() {
 			if t := takeFrom(&c.queues[i], i, false); t != nil {
 				return t, false
 			}
@@ -519,7 +399,6 @@ func (c *Coordinator) next(i int) (t *task, stolen bool) {
 					}
 				}
 			}
-			w.br.releaseAttempt()
 		} else if t := c.lastResortLocked(i); t != nil {
 			return t, false
 		}
@@ -527,76 +406,53 @@ func (c *Coordinator) next(i int) (t *task, stolen bool) {
 	}
 }
 
-// takeFrom removes and returns the first task in q runnable by worker i —
-// scanning from the head for i's own queue, from the tail (the coldest
-// task, leaving the victim its head) when stealing. Completed tasks
-// (hedge/failover leftovers) are dropped on the way. Nil if none qualify.
+// takeFrom removes and returns the first task in q that worker i has not
+// tried — scanning from the head for i's own queue, from the tail (the
+// coldest task, leaving the victim its head) when stealing. Nil if none
+// qualifies. c.mu must be held.
 func takeFrom(q *[]*task, i int, fromTail bool) *task {
-	for {
-		s := *q
-		removed := false
-		for n := range s {
-			idx := n
-			if fromTail {
-				idx = len(s) - 1 - n
-			}
+	s := *q
+	for n := range s {
+		idx := n
+		if fromTail {
+			idx = len(s) - 1 - n
+		}
+		if !s[idx].tried[i] {
 			t := s[idx]
-			if t.isCompleted() {
-				*q = append(s[:idx:idx], s[idx+1:]...)
-				removed = true
-				break
-			}
-			if t.runnableBy(i) {
-				*q = append(s[:idx:idx], s[idx+1:]...)
-				return t
-			}
-		}
-		if !removed {
-			return nil
-		}
-	}
-}
-
-// lastResortLocked finds a queued task that worker i may run even though
-// its breaker does not admit: one with no admitting untried alternative.
-// c.mu must be held.
-func (c *Coordinator) lastResortLocked(i int) *task {
-	for j := range c.queues {
-		q := c.queues[j]
-		for idx := 0; idx < len(q); idx++ {
-			t := q[idx]
-			if !t.runnableBy(i) || c.hasAlternative(t, i) {
-				continue
-			}
-			c.queues[j] = append(q[:idx:idx], q[idx+1:]...)
+			*q = append(s[:idx:idx], s[idx+1:]...)
 			return t
 		}
 	}
 	return nil
 }
 
-// hasAlternative reports whether any admitting worker other than i could
-// still attempt t.
-func (c *Coordinator) hasAlternative(t *task, i int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.completed {
-		return true // not last-resort material; a scan will drop it
+// lastResortLocked finds a queued task that down worker i may run: one
+// that no up worker could still attempt. c.mu must be held.
+func (c *Coordinator) lastResortLocked(i int) *task {
+	for j, q := range c.queues {
+		for idx, t := range q {
+			if !t.tried[i] && c.untriedUpLocked(t, i) < 0 {
+				c.queues[j] = append(q[:idx:idx], q[idx+1:]...)
+				return t
+			}
+		}
 	}
+	return nil
+}
+
+// untriedUpLocked returns an up worker other than skip that has not tried
+// t, or -1 when there is none. c.mu must be held.
+func (c *Coordinator) untriedUpLocked(t *task, skip int) int {
 	for j, w := range c.workers {
-		if j == i || t.tried[j] || t.inflight[j] != nil {
-			continue
-		}
-		if st := w.br.current(); st == stateClosed || st == stateHalfOpen {
-			return true
+		if j != skip && !t.tried[j] && w.up.Load() {
+			return j
 		}
 	}
-	return false
+	return -1
 }
 
 func (c *Coordinator) runner(i int) {
 	defer c.wg.Done()
-	w := c.workers[i]
 	for {
 		t, stolen := c.next(i)
 		if t == nil {
@@ -605,258 +461,135 @@ func (c *Coordinator) runner(i int) {
 		if stolen {
 			c.mSteals.Inc()
 		}
-		c.attempt(t, i, w)
+		c.attempt(t, i)
 	}
 }
 
-// attempt runs one task attempt on worker i, classifying the outcome:
-// task-owned endings (the task's own context canceled or expired, or
-// another attempt already won) never blame the worker or burn a failover
-// slot; worker-owned failures feed the breaker and fail over.
-func (c *Coordinator) attempt(t *task, i int, w *workerState) {
-	if t.ctx != nil && t.ctx.Err() != nil {
-		// Task-owned before the wire was touched.
-		w.br.releaseAttempt()
-		t.complete(experiments.CellPayload{}, t.ctx.Err())
-		return
-	}
-	actx, cancel, isHedge := t.beginAttempt(i)
-	if actx == nil {
-		w.br.releaseAttempt()
-		return
-	}
-	defer cancel()
-	var hedgeTimer *time.Timer
-	if !c.opts.DisableHedging && len(c.workers) > 1 {
-		hedgeTimer = time.AfterFunc(c.hedgeDelay(w), func() { c.hedge(t) })
-	}
-	start := time.Now()
-	payload, err := c.call(actx, t, w)
-	if hedgeTimer != nil {
-		hedgeTimer.Stop()
-	}
-	t.endAttempt(i)
-	if err == nil {
-		w.lat.observe(time.Since(start))
-		if w.br.onSuccess() {
-			c.kick()
-		}
-		w.tasks.Inc()
-		if t.complete(payload, nil) {
-			c.mTasks.Inc()
-			if isHedge {
-				c.mHedgeWins.Inc()
-			}
-		}
-		return
-	}
-	if t.ctx != nil && t.ctx.Err() != nil {
-		// Task-owned: the cell's own context was canceled or its deadline
-		// passed mid-call. Finish the task directly — the worker is not to
-		// blame, no failover slot burns, dist.worker_failures stays put.
-		w.br.releaseAttempt()
-		t.complete(experiments.CellPayload{}, t.ctx.Err())
-		return
-	}
-	if t.isCompleted() {
-		// Hedge loser: another attempt won and canceled us. No blame.
-		w.br.releaseAttempt()
-		return
-	}
-	var we *WorkerError
-	if !errors.As(err, &we) {
-		// Permanent protocol error (bad request, key mismatch): the cell
-		// is wrong, not the worker — which answered coherently, so the
-		// breaker records a success.
-		w.br.onSuccess()
+// attempt runs one task attempt on worker i and classifies the outcome.
+// Task-owned endings (the task's own context canceled or expired) blame
+// nobody and burn no failover slot; a permanent error fails the cell but
+// not the worker, which answered coherently; only a *WorkerError — which
+// includes an attempt the prober abandoned on a silent worker — marks the
+// worker down and fails the task over.
+func (c *Coordinator) attempt(t *task, i int) {
+	w := c.workers[i]
+	if err := t.ctx.Err(); err != nil {
 		t.complete(experiments.CellPayload{}, err)
 		return
 	}
-	c.mFailures.Inc()
-	if w.br.onFailure() {
-		c.mQuarantines.Inc()
-		c.kick()
+	actx, cancel := context.WithCancelCause(t.ctx)
+	w.mu.Lock()
+	w.running[t] = cancel
+	w.mu.Unlock()
+	payload, err := c.call(actx, t, w)
+	w.mu.Lock()
+	delete(w.running, t)
+	w.mu.Unlock()
+	cancel(nil)
+
+	var we *WorkerError
+	switch {
+	case err == nil:
+		c.mark(w, true)
+		w.tasks.Inc()
+		c.mTasks.Inc()
+		t.complete(payload, nil)
+	case t.ctx.Err() != nil:
+		t.complete(experiments.CellPayload{}, t.ctx.Err())
+	case !errors.As(err, &we):
+		// Permanent protocol error (bad request, key mismatch): the cell
+		// is wrong, not the worker.
+		c.mark(w, true)
+		t.complete(experiments.CellPayload{}, err)
+	default:
+		c.mFailures.Inc()
+		c.mark(w, false)
+		c.failover(t, i, err)
 	}
-	c.failover(t, i, err)
 }
 
-// failover hands a worker-failed task to an untried admitting worker; when
-// none exists and no other attempt is still in flight, the transient error
-// surfaces so the experiment scheduler's capped backoff decides whether the
-// fleet deserves another round.
+// failover hands a worker-failed task to an untried up worker; when none
+// exists the transient error ends the round, and Remote decides whether
+// the fleet deserves another.
 func (c *Coordinator) failover(t *task, i int, err error) {
-	t.mu.Lock()
+	c.mu.Lock()
 	t.tried[i] = true
-	if t.completed {
-		t.mu.Unlock()
-		return
-	}
-	next := c.pickUntriedLocked(t)
-	others := len(t.inflight)
-	t.mu.Unlock()
-	if next >= 0 {
+	next := c.untriedUpLocked(t, i)
+	c.mu.Unlock()
+	if next >= 0 && c.enqueue(t, next) == nil {
 		c.mFailovers.Inc()
-		if qerr := c.enqueue(t, next); qerr == nil {
-			return
-		}
-	}
-	if others > 0 {
-		return // a concurrent attempt may still win; it decides on failure
+		return
 	}
 	t.complete(experiments.CellPayload{}, err)
 }
 
-// pickUntriedLocked returns an admitting worker that has neither failed nor
-// is currently attempting t, preferring closed breakers over half-open;
-// -1 when none qualifies. t.mu must be held (c.workers is immutable and
-// breaker state is its own lock, so no other lock is needed).
-func (c *Coordinator) pickUntriedLocked(t *task) int {
-	fallback := -1
-	for j, w := range c.workers {
-		if t.tried[j] || t.inflight[j] != nil {
-			continue
-		}
-		switch w.br.current() {
-		case stateClosed:
-			return j
-		case stateHalfOpen:
-			if fallback < 0 {
-				fallback = j
-			}
-		}
-	}
-	return fallback
-}
-
-// hedgeDelay picks how long worker w's attempt may run before a duplicate
-// launches elsewhere: the worker's recent latency quantile once enough
-// samples exist (padded 1.5x so ordinary jitter does not hedge), the
-// fallback before that.
-func (c *Coordinator) hedgeDelay(w *workerState) time.Duration {
-	if q, ok := w.lat.quantile(c.opts.HedgeQuantile); ok {
-		d := q + q/2
-		if d < c.opts.HedgeMin {
-			d = c.opts.HedgeMin
-		}
-		return d
-	}
-	return c.opts.HedgeFallback
-}
-
-// hedge launches the task's duplicate attempt on an untried admitting
-// worker. Cells are deterministic and the cell cache single-flights, so
-// the duplicate can never fork results — first success wins, the loser is
-// canceled by complete().
-func (c *Coordinator) hedge(t *task) {
-	if t.ctx != nil && t.ctx.Err() != nil {
-		return
-	}
-	t.mu.Lock()
-	if t.completed || t.hedges >= 1 {
-		t.mu.Unlock()
-		return
-	}
-	next := c.pickUntriedLocked(t)
-	if next < 0 {
-		t.mu.Unlock()
-		return
-	}
-	t.hedges++
-	t.hedgePending++
-	t.mu.Unlock()
-	c.mHedges.Inc()
-	c.enqueue(t, next)
-}
-
-// probeLoop is the background prober: quarantined workers are probed with
-// capped exponential backoff and re-admitted on success; half-open workers
-// are probed every tick (a second success closes without needing a trial
-// task); healthy workers are watched at a slow cadence so a silently dead
-// worker (SIGKILL) is discovered without sacrificing a task.
+// probeLoop is the background prober: down workers are probed every tick
+// and re-admitted on a healthy answer; up workers are probed every
+// healthyEvery ticks (staggered), so a silently dead or stalled worker is
+// found without sacrificing a task.
 func (c *Coordinator) probeLoop() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(c.opts.ProbeInterval)
 	defer ticker.Stop()
-	gapCap := int(c.opts.ProbeBackoffCap / c.opts.ProbeInterval)
-	if gapCap < 1 {
-		gapCap = 1
-	}
-	tick := 0
-	for {
+	for tick := 1; ; tick++ {
 		select {
 		case <-c.stopc:
 			return
 		case <-ticker.C:
 		}
-		tick++
 		for i, w := range c.workers {
-			switch w.br.current() {
-			case stateOpen:
-				w.probeWait--
-				if w.probeWait > 0 {
-					continue
-				}
-				if c.probe(w) {
-					w.probeGap, w.probeWait = 1, 1
-				} else {
-					w.probeGap *= 2
-					if w.probeGap > gapCap {
-						w.probeGap = gapCap
-					}
-					w.probeWait = w.probeGap
-				}
-			case stateHalfOpen:
+			select {
+			case <-c.stopc: // a probe can take probeTimeout; do not delay Close
+				return
+			default:
+			}
+			if !w.up.Load() || (tick+i)%healthyEvery == 0 {
 				c.probe(w)
-			case stateClosed:
-				if (tick+i)%c.opts.HealthyEvery == 0 {
-					c.probe(w)
-				}
 			}
 		}
 	}
 }
 
-// probe GETs /v1/health once and folds the verdict into the worker's
-// breaker. "draining" counts as unhealthy: the worker is on its way out
-// and new tasks would only be shed back.
-func (c *Coordinator) probe(w *workerState) bool {
+// probe GETs /v1/health once and marks the worker up only on HTTP 200 with
+// status "ok". A worker answering "draining" (or anything else) is only
+// marked down, so its in-flight tasks finish. A worker that gives no HTTP
+// answer at all is dead or stalled: its in-flight attempts are abandoned,
+// so they fail over instead of waiting on it forever.
+func (c *Coordinator) probe(w *workerState) {
 	c.mProbes.Inc()
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+w.addr+PathHealth, nil)
-	healthy := false
+	var resp *http.Response
 	if err == nil {
-		if resp, derr := c.client.Do(req); derr == nil {
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			var h HealthResponse
-			healthy = rerr == nil && resp.StatusCode == http.StatusOK &&
-				json.Unmarshal(data, &h) == nil && h.Status == "ok"
-		}
+		resp, err = c.client.Do(req)
 	}
-	if healthy {
-		readmitted, closed := w.br.probeSuccess()
-		if readmitted {
-			c.mReadmits.Inc()
+	if err != nil {
+		c.mProbeFailures.Inc()
+		c.mark(w, false)
+		w.mu.Lock()
+		for _, abandon := range w.running {
+			abandon(errNoAnswer)
 		}
-		if readmitted || closed {
-			c.kick()
-		}
-		return true
+		w.mu.Unlock()
+		return
 	}
-	c.mProbeFailures.Inc()
-	if w.br.probeFailure() {
-		c.mQuarantines.Inc()
-		c.kick()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	var h HealthResponse
+	healthy := err == nil && resp.StatusCode == http.StatusOK &&
+		json.Unmarshal(data, &h) == nil && h.Status == "ok"
+	if !healthy {
+		c.mProbeFailures.Inc()
 	}
-	return false
+	c.mark(w, healthy)
 }
 
 // call runs one task attempt on one worker under the attempt's context.
-// Connection failures, retryable envelopes and damaged payloads come back
-// as transient *WorkerError; permanent envelopes (the request itself is
-// wrong) come back bare; context endings come back as the context error
-// for the caller to classify (task-owned vs hedge-canceled).
+// Connection failures — including an attempt whose context ended —,
+// retryable envelopes and damaged payloads come back as transient
+// *WorkerError; permanent envelopes (the request itself is wrong) come back
+// bare. The caller decides whether a context ending was the task's own.
 func (c *Coordinator) call(ctx context.Context, t *task, w *workerState) (experiments.CellPayload, error) {
 	body, err := json.Marshal(t.req)
 	if err != nil {
@@ -869,18 +602,12 @@ func (c *Coordinator) call(ctx context.Context, t *task, w *workerState) (experi
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(hreq)
 	if err != nil {
-		if ctx.Err() != nil {
-			return experiments.CellPayload{}, ctx.Err()
-		}
-		return experiments.CellPayload{}, &WorkerError{Worker: w.addr, Err: err}
+		return experiments.CellPayload{}, &WorkerError{Worker: w.addr, Err: withCause(ctx, err)}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		if ctx.Err() != nil {
-			return experiments.CellPayload{}, ctx.Err()
-		}
-		return experiments.CellPayload{}, &WorkerError{Worker: w.addr, Err: err}
+		return experiments.CellPayload{}, &WorkerError{Worker: w.addr, Err: withCause(ctx, err)}
 	}
 	if resp.StatusCode != http.StatusOK {
 		var env ErrorEnvelope
@@ -911,4 +638,13 @@ func (c *Coordinator) call(ctx context.Context, t *task, w *workerState) (experi
 		return experiments.CellPayload{}, &WorkerError{Worker: w.addr, Err: err}
 	}
 	return p, nil
+}
+
+// withCause names why an attempt's context ended (the prober's errNoAnswer)
+// in place of the transport's bare "context canceled".
+func withCause(ctx context.Context, err error) error {
+	if cause := context.Cause(ctx); cause != nil {
+		return cause
+	}
+	return err
 }

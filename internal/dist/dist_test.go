@@ -371,11 +371,17 @@ func payloadBytes(t *testing.T, p experiments.CellPayload) []byte {
 // (dist.worker_failures stays 0), no failover slot burns, and the worker
 // stays admitted.
 func TestTaskCancelNotWorkerFault(t *testing.T) {
-	// The "worker" hangs every request until the client gives up — the
-	// shape of a long cell, not a broken worker. The stop channel unblocks
-	// lingering handlers at cleanup so the server can close.
+	// The "worker" answers health probes but hangs every task until the
+	// client gives up — the shape of a long cell, not a broken worker. The
+	// stop channel unblocks lingering handlers at cleanup so the server can
+	// close.
 	stop := make(chan struct{})
+	health := NewWorker().Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathHealth {
+			health.ServeHTTP(rw, r)
+			return
+		}
 		select {
 		case <-r.Context().Done():
 		case <-stop:
@@ -385,7 +391,7 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 	defer close(stop)
 	addr := strings.TrimPrefix(srv.URL, "http://")
 
-	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}, Slots: 1, DisableProbing: true})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}, Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,15 +411,9 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 	if !errors.Is(rerr, context.Canceled) {
 		t.Fatalf("canceled cell returned %v, want context.Canceled", rerr)
 	}
-	// The runner may still be classifying its canceled attempt; give it a
-	// beat before reading counters.
-	deadline := time.Now().Add(2 * time.Second)
-	for coord.Health().Failures == 0 && time.Now().Before(deadline) {
-		if coord.WorkersHealthy() {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// The runner may still be classifying its canceled attempt; Close waits
+	// for it before the counters are read.
+	coord.Close()
 	if h := coord.Health(); h.Failures != 0 {
 		t.Errorf("dist.worker_failures = %d after a task-owned cancel, want 0", h.Failures)
 	}
@@ -448,10 +448,7 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
 	}
 
-	coord, err := NewCoordinator(CoordinatorOptions{
-		Addrs: addrs, Slots: 1,
-		DisableProbing: true, DisableHedging: true,
-	})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs, Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,63 +509,75 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 	}
 }
 
-// TestHedgedDispatch: a task stuck on a slow worker past the hedge delay
-// is duplicated on the other worker; the fast copy wins, the slow attempt
-// is canceled without blaming anyone.
-func TestHedgedDispatch(t *testing.T) {
-	// The first task attempt — on whichever worker receives it — stalls;
-	// every later attempt is served normally. The hedge therefore always
-	// lands on a responsive worker and must win.
-	var slowed atomic.Bool
+// TestStalledWorkerFailsOver: a worker that stops answering mid-task — the
+// task call and its health probes both hang — is found by the prober,
+// whose unanswered probe quarantines it and abandons the stuck attempt, so
+// the cell fails over and completes on the other worker, byte-identical
+// to a local compute.
+func TestStalledWorkerFailsOver(t *testing.T) {
+	// Whichever worker receives the first task stalls from then on, on
+	// every path, until cleanup.
+	var stalled atomic.Int32
+	stalled.Store(-1)
 	stop := make(chan struct{})
-	slowify := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == PathTask && slowed.CompareAndSwap(false, true) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		id := int32(i)
+		h := NewWorker().Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == PathTask {
+				stalled.CompareAndSwap(-1, id)
+			}
+			if stalled.Load() == id {
 				select {
-				case <-time.After(5 * time.Second):
 				case <-r.Context().Done():
-					return
 				case <-stop:
-					return
 				}
+				return
 			}
 			h.ServeHTTP(rw, r)
-		})
+		}))
+		defer srv.Close()
+		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
 	}
-	srvA := httptest.NewServer(slowify(NewWorker().Handler()))
-	defer srvA.Close()
-	srvB := httptest.NewServer(slowify(NewWorker().Handler()))
-	defer srvB.Close()
 	defer close(stop)
 
-	coord, err := NewCoordinator(CoordinatorOptions{
-		Addrs: []string{
-			strings.TrimPrefix(srvA.URL, "http://"),
-			strings.TrimPrefix(srvB.URL, "http://"),
-		},
-		Slots:          1,
-		HedgeFallback:  50 * time.Millisecond,
-		DisableProbing: true,
-	})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs, Slots: 1, ProbeInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 
-	cs := cellsHomedOn(t, coord, 0, 1)[0]
+	// A small cell: the rescue itself costs up to a probe timeout (2s).
+	spec, err := workload.ByName("Fib-G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.TargetInstr /= 64
+	cs := experiments.CellSpec{Workload: spec, Config: sim.KindNL, Mode: lukewarm.Interleaved}
+	// Bounded, so a missing rescue fails the test instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	start := time.Now()
-	if _, err := coord.Remote()(context.Background(), cs, experiments.CellEnv{}); err != nil {
-		t.Fatalf("hedged cell failed: %v", err)
+	got, err := coord.Remote()(ctx, cs, experiments.CellEnv{})
+	if err != nil {
+		t.Fatalf("cell on a stalled worker failed: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed >= 5*time.Second {
-		t.Errorf("cell took %v: the hedge never rescued it from the slow worker", elapsed)
+		t.Errorf("cell took %v: the prober never rescued it from the stalled worker", elapsed)
 	}
-	h := coord.Health()
-	if h.Hedges < 1 || h.HedgeWins < 1 {
-		t.Errorf("hedges = %d, wins = %d, want both >= 1", h.Hedges, h.HedgeWins)
+	served, _, err := experiments.NewCellCache().Invoke(cs, experiments.CellEnv{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h.Failures != 0 {
-		t.Errorf("dist.worker_failures = %d: a canceled hedge loser was blamed on its worker", h.Failures)
+	if !bytes.Equal(payloadBytes(t, got), payloadBytes(t, experiments.CellPayload{Res: served.Res, Metrics: served.Metrics})) {
+		t.Error("failover payload differs from local compute")
+	}
+	if _, _, failovers := coord.Stats(); failovers < 1 {
+		t.Errorf("failovers = %d, want >= 1", failovers)
+	}
+	if h := coord.Health(); h.Quarantines < 1 {
+		t.Errorf("quarantines = %d, want >= 1 (the stalled worker was never marked down)", h.Quarantines)
 	}
 }
 
@@ -585,11 +594,7 @@ func TestProberReadmitsRestartedWorker(t *testing.T) {
 
 	coord, err := NewCoordinator(CoordinatorOptions{
 		Addrs: []string{addr}, Slots: 1,
-		MinSamples:        1,
 		ProbeInterval:     20 * time.Millisecond,
-		ProbeBackoffCap:   200 * time.Millisecond,
-		ProbeTimeout:      500 * time.Millisecond,
-		DisableHedging:    true,
 		MaxDispatchRounds: 1,
 	})
 	if err != nil {

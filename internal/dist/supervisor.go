@@ -14,33 +14,31 @@ import (
 	"ignite/internal/obs"
 )
 
+// Supervisor limits. A worker that stays up stableAfter earns its restart
+// budget back; one that crash-loops past maxRestarts consecutive restarts
+// is abandoned — the coordinator keeps it down and the rest of the fleet
+// absorbs its load. Restart delays double from RestartBackoff up to
+// backoffCap. Close waits drainTimeout for SIGTERM'd workers to drain
+// before SIGKILL.
+const (
+	maxRestarts  = 5
+	backoffCap   = 5 * time.Second
+	stableAfter  = 30 * time.Second
+	drainTimeout = 10 * time.Second
+)
+
 // SupervisorOptions configures a local worker fleet supervisor.
 type SupervisorOptions struct {
 	// Workers is the fleet size. Required, positive.
 	Workers int
 	// Command builds the process for a worker that must listen on addr. The
-	// default re-executes the current binary with `-worker -listen <addr>`
-	// plus ExtraArgs. Tests and the chaos harness substitute their own
-	// (re-entering the test binary through an env-gated TestMain hook).
+	// default re-executes the current binary with `-worker -listen <addr>`.
+	// Tests and the chaos harness substitute their own (re-entering the
+	// test binary through an env-gated TestMain hook).
 	Command func(addr string) (*exec.Cmd, error)
-	// ExtraArgs are appended to the default command's argument list
-	// (ignored when Command is set).
-	ExtraArgs []string
-	// MaxRestarts bounds consecutive restarts of one worker (default 5). A
-	// worker that stays up StableAfter earns its budget back; one that
-	// crash-loops past the budget is abandoned — the coordinator's breaker
-	// keeps it quarantined and the rest of the fleet absorbs its load.
-	MaxRestarts int
-	// RestartBackoff is the first restart delay, doubling per consecutive
-	// restart up to BackoffCap (defaults 200ms, 5s).
+	// RestartBackoff is the first restart delay (default 200ms), doubling
+	// per consecutive restart up to 5s.
 	RestartBackoff time.Duration
-	BackoffCap     time.Duration
-	// StableAfter is the uptime after which a worker's consecutive-restart
-	// count resets (default 30s).
-	StableAfter time.Duration
-	// DrainTimeout bounds Close's wait for SIGTERM'd workers to drain
-	// before SIGKILL (default 10s).
-	DrainTimeout time.Duration
 	// Log receives supervisor events (default: stderr).
 	Log func(format string, args ...any)
 }
@@ -54,25 +52,12 @@ func (o SupervisorOptions) withDefaults() (SupervisorOptions, error) {
 		if err != nil {
 			return o, fmt.Errorf("dist: locate executable: %w", err)
 		}
-		extra := o.ExtraArgs
 		o.Command = func(addr string) (*exec.Cmd, error) {
-			return exec.Command(exe, append([]string{"-worker", "-listen", addr}, extra...)...), nil
+			return exec.Command(exe, "-worker", "-listen", addr), nil
 		}
-	}
-	if o.MaxRestarts <= 0 {
-		o.MaxRestarts = 5
 	}
 	if o.RestartBackoff <= 0 {
 		o.RestartBackoff = 200 * time.Millisecond
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 5 * time.Second
-	}
-	if o.StableAfter <= 0 {
-		o.StableAfter = 30 * time.Second
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 10 * time.Second
 	}
 	if o.Log == nil {
 		o.Log = func(format string, args ...any) {
@@ -158,7 +143,7 @@ func (s *Supervisor) Kill(i int) error {
 }
 
 // Close stops restarting, SIGTERMs the fleet (workers drain in-flight
-// tasks), and reaps every process — SIGKILL after DrainTimeout.
+// tasks), and reaps every process — SIGKILL after drainTimeout.
 func (s *Supervisor) Close() {
 	s.mu.Lock()
 	if s.stopping {
@@ -178,7 +163,7 @@ func (s *Supervisor) Close() {
 	go func() { s.wg.Wait(); close(done) }()
 	select {
 	case <-done:
-	case <-time.After(s.opts.DrainTimeout):
+	case <-time.After(drainTimeout):
 		s.mu.Lock()
 		procs = append(procs[:0], s.procs...)
 		s.mu.Unlock()
@@ -223,8 +208,8 @@ func (s *Supervisor) spawn(addr string) (*exec.Cmd, string, error) {
 }
 
 // monitor owns worker i's lifecycle: it reaps each exit and decides
-// whether to restart. A worker that stays up StableAfter earns a fresh
-// restart budget; one that crash-loops past MaxRestarts is abandoned.
+// whether to restart. A worker that stays up stableAfter earns a fresh
+// restart budget; one that crash-loops past maxRestarts is abandoned.
 func (s *Supervisor) monitor(i int) {
 	defer s.wg.Done()
 	addr := s.addrs[i]
@@ -241,22 +226,22 @@ func (s *Supervisor) monitor(i int) {
 		if stopping {
 			return
 		}
-		if time.Since(start) >= s.opts.StableAfter {
+		if time.Since(start) >= stableAfter {
 			consecutive = 0
 		}
 		for {
-			if consecutive >= s.opts.MaxRestarts {
-				s.opts.Log("worker %d (%s) burned its %d-restart budget; abandoning it", i, addr, s.opts.MaxRestarts)
+			if consecutive >= maxRestarts {
+				s.opts.Log("worker %d (%s) burned its %d-restart budget; abandoning it", i, addr, maxRestarts)
 				s.gaveUp.Inc()
 				return
 			}
 			consecutive++
 			backoff := s.opts.RestartBackoff << (consecutive - 1)
-			if backoff > s.opts.BackoffCap || backoff <= 0 {
-				backoff = s.opts.BackoffCap
+			if backoff > backoffCap || backoff <= 0 {
+				backoff = backoffCap
 			}
 			s.opts.Log("worker %d (%s) exited (%v); restart %d/%d in %v",
-				i, addr, werr, consecutive, s.opts.MaxRestarts, backoff)
+				i, addr, werr, consecutive, maxRestarts, backoff)
 			select {
 			case <-time.After(backoff):
 			case <-s.stopc:

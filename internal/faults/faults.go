@@ -45,10 +45,10 @@ const (
 	// net/<host>/<endpoint> instead of exp/workload/config.
 
 	// KindConnReset fails the connection as if the peer reset it —
-	// exercises the coordinator's failover and the breaker's quarantine.
+	// exercises the coordinator's failover and quarantine.
 	KindConnReset Kind = "conn-reset"
 	// KindSlowNet delays the request by the rule's delay before letting it
-	// through — exercises hedged dispatch and probe timeouts.
+	// through — exercises probe timeouts.
 	KindSlowNet Kind = "slow-net"
 	// KindTruncatedBody cuts the response body short mid-stream —
 	// exercises the coordinator's read-error retry path.

@@ -148,7 +148,8 @@ func (d Document) WriteFile(dir, name string) (string, error) {
 }
 
 // WriteFileAtomic writes data to path through a temp file in the same
-// directory: write, fsync, then rename over the destination. Readers never
+// directory: write, fsync, rename over the destination, then fsync the
+// directory so the rename itself survives a power loss. Readers never
 // observe a partially written file, and a crash leaves the old content
 // intact. The temp file is removed on any failure.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
@@ -181,5 +182,10 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		os.Remove(name)
 		return err
 	}
-	return nil
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

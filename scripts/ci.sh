@@ -151,14 +151,21 @@ go test -race ./internal/dist
        <(grep -v '"generated"' dist-warm/fig1.json)
 )
 
+# Fuzz the dist wire decoders briefly (seeds in internal/dist/testdata/fuzz).
+# Minimization is capped so the 10s go to new inputs, not to shrinking the
+# multi-kilobyte response seed.
+for target in FuzzParseTaskRequest FuzzTaskResponse; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 200x ./internal/dist
+done
+
 # Self-healing smoke: the same sweep on a supervised fleet with a worker
 # SIGKILLed mid-run. The supervisor must resurrect the victim on its old
 # address, the prober re-admit it, and the run still exit 0 with a document
 # byte-identical (modulo the generation timestamp) to the single-process
 # baseline and a store that reseals to the same Merkle root warm. The named
-# -race passes keep the breaker/prober/hedge/supervisor paths and the full
+# -race passes keep the prober/stalled-worker/supervisor paths and the full
 # chaos harness visible on their own.
-go test -race -run 'TestSupervisorRestartsWorker|TestProberReadmitsRestartedWorker|TestHedgedDispatch|TestTaskCancelNotWorkerFault|TestWorkerDrainShedsInFlightFailover' \
+go test -race -run 'TestSupervisorRestartsWorker|TestProberReadmitsRestartedWorker|TestStalledWorkerFailsOver|TestTaskCancelNotWorkerFault|TestWorkerDrainShedsInFlightFailover' \
   ./internal/dist
 go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
 (
@@ -205,4 +212,4 @@ go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
   test "$root_cold" = "$root_warm"
 )
 
-echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, self-healing smoke)"
+echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, dist fuzz, self-healing smoke)"
