@@ -87,12 +87,12 @@ func TestMutationSmoke(t *testing.T) {
 			p.Stack.BadSpec = -3
 			p.Cycles = p.Stack.Total() // keep the sum law satisfied
 		},
-		"fetch-lookup-balance":  func(p *check.Probe) { p.HierInstrFetches++ },
-		"l1i-hit-miss-balance":  func(p *check.Probe) { p.L1IHits++ },
-		"btb-restored-bounds":   func(p *check.Probe) { p.BTBRestoredUntouched = p.BTBOccupancy + 1 },
-		"replay-meta-bytes":     func(p *check.Probe) { p.ReplayBytesRead = p.ReplayBytesRecorded + 1 },
-		"l1i-l2-inclusion":      func(p *check.Probe) { p.L2Contains = func(la uint64) bool { return la != 0x40 } },
-		"monotonic-clock":       func(p *check.Probe) { p.Now = p.PrevNow },
+		"fetch-lookup-balance": func(p *check.Probe) { p.HierInstrFetches++ },
+		"l1i-hit-miss-balance": func(p *check.Probe) { p.L1IHits++ },
+		"btb-restored-bounds":  func(p *check.Probe) { p.BTBRestoredUntouched = p.BTBOccupancy + 1 },
+		"replay-meta-bytes":    func(p *check.Probe) { p.ReplayBytesRead = p.ReplayBytesRecorded + 1 },
+		"l1i-l2-inclusion":     func(p *check.Probe) { p.L2Contains = func(la uint64) bool { return la != 0x40 } },
+		"monotonic-clock":      func(p *check.Probe) { p.Now = p.PrevNow },
 	}
 	for _, name := range check.Names() {
 		mutate, ok := mutations[name]

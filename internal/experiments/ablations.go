@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"ignite/internal/engine"
 	"ignite/internal/faults"
@@ -45,9 +46,9 @@ func AblCodec(ctx context.Context, opt Options) (*Result, error) {
 		return nil, err
 	}
 	for _, w := range configs {
-		// Ablations run their cells serially; fire injected faults at the
-		// same (experiment, workload, config) granularity as the scheduler
-		// so chaos plans cover them too.
+		// The codec study runs its cells serially; fire injected faults at
+		// the same (experiment, workload, config) granularity as the
+		// scheduler so chaos plans cover them too.
 		if err := opt.Faults.Fire(ctx, faults.Site{
 			Experiment: "abl-codec", Workload: spec.Name,
 			Config: fmt.Sprintf("%d/%d", w.pc, w.tgt),
@@ -85,50 +86,50 @@ func AblCodec(ctx context.Context, opt Options) (*Result, error) {
 
 func recCompact(r *ignite.Recorder) int { return r.CompactRecords() }
 
+// ablationMatrix runs an ablation's points as scheduler cells through a
+// call-private cell cache (Cache = nil): the points share one program build
+// per workload and run Parallel-wide, while the shared cache's Stats — and
+// so every exported manifest — and the cell store never see them. An
+// ablation row averages over every workload, so a failed cell fails the
+// experiment under either failure policy.
+func ablationMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*matrix, error) {
+	opt.Cache = nil
+	m, err := runMatrix(ctx, id, opt, configs)
+	if err != nil {
+		return nil, err
+	}
+	if err := joinOutcomes(m.outcomes, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // AblThrottle sweeps the replay throttle threshold: too low starves the
 // restore, too high lets replay thrash the BTB ahead of use.
 func AblThrottle(ctx context.Context, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	configs := []runConfig{{Name: "nl", Kind: sim.KindNL, Mode: lukewarm.Interleaved}}
+	for _, thr := range []int{64, 256, 1024, 4096, 1 << 20} {
+		configs = append(configs, runConfig{Name: strconv.Itoa(thr), Kind: sim.KindIgnite,
+			Tweak: sim.Tweaks{ThrottleThreshold: thr}, Mode: lukewarm.Interleaved})
+	}
+	m, err := ablationMatrix(ctx, "abl-throttle", opt, configs)
+	if err != nil {
+		return nil, err
+	}
 	r := &Result{ID: "abl-throttle", Title: Title("abl-throttle")}
 	t := stats.NewTable(r.Title, "threshold", "speedup over NL", "BTB MPKI", "L1I MPKI")
-	for _, thr := range []int{64, 256, 1024, 4096, 1 << 20} {
+	for _, rc := range configs[1:] {
 		var speedups, btbs, l1s []float64
 		for _, spec := range opt.Workloads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := opt.Faults.Fire(ctx, faults.Site{
-				Experiment: "abl-throttle", Workload: spec.Name,
-				Config: fmt.Sprintf("%d", thr),
-			}); err != nil {
-				return nil, err
-			}
-			prog, _, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			base, err := sim.NewWithProgram(spec, prog, sim.KindNL)
-			if err != nil {
-				return nil, err
-			}
-			baseRes, err := base.Run(lukewarm.Interleaved)
-			if err != nil {
-				return nil, err
-			}
-			st, err := sim.NewWithProgram(spec, prog, sim.KindIgnite, sim.WithThrottleThreshold(thr))
-			if err != nil {
-				return nil, err
-			}
-			res, err := st.Run(lukewarm.Interleaved)
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, baseRes.CPI()/res.CPI())
+			row := m.cells[spec.Name]
+			res := row[rc.Name].Res
+			speedups = append(speedups, row["nl"].Res.CPI()/res.CPI())
 			btbs = append(btbs, res.BTBMPKI())
 			l1s = append(l1s, res.L1IMPKI())
 		}
-		label := fmt.Sprintf("%d", thr)
-		if thr == 1<<20 {
+		label := rc.Name
+		if rc.Tweak.ThrottleThreshold == 1<<20 {
 			label = "unthrottled"
 		}
 		t.AddRowf(label, stats.GeoMean(speedups), stats.Mean(btbs), stats.Mean(l1s))
@@ -143,47 +144,34 @@ func AblThrottle(ctx context.Context, opt Options) (*Result, error) {
 // Sapphire Rapids BTB (the paper states the overall trends are unaffected).
 func AblBTB(ctx context.Context, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	sizes := []int{6144, 12288, 24576} // 6-way: sets must be a power of two
+	kinds := []sim.Kind{sim.KindBoomerangJB, sim.KindIgnite}
+	var configs []runConfig
+	for _, entries := range sizes {
+		for _, kind := range append([]sim.Kind{sim.KindNL}, kinds...) {
+			configs = append(configs, runConfig{Name: fmt.Sprintf("%d/%s", entries, kind), Kind: kind,
+				Tweak: sim.Tweaks{BTBEntries: entries}, Mode: lukewarm.Interleaved})
+		}
+	}
+	m, err := ablationMatrix(ctx, "abl-btb", opt, configs)
+	if err != nil {
+		return nil, err
+	}
 	r := &Result{ID: "abl-btb", Title: Title("abl-btb")}
 	t := stats.NewTable(r.Title, "BTB entries", "config", "speedup over NL", "BTB MPKI")
-	for _, entries := range []int{6144, 12288, 24576} { // 6-way: sets must be a power of two
-		for _, kind := range []sim.Kind{sim.KindBoomerangJB, sim.KindIgnite} {
+	for _, entries := range sizes {
+		for _, kind := range kinds {
+			base, name := fmt.Sprintf("%d/%s", entries, sim.KindNL), fmt.Sprintf("%d/%s", entries, kind)
 			var speedups, btbs []float64
 			for _, spec := range opt.Workloads {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if err := opt.Faults.Fire(ctx, faults.Site{
-					Experiment: "abl-btb", Workload: spec.Name,
-					Config: fmt.Sprintf("%d/%s", entries, kind),
-				}); err != nil {
-					return nil, err
-				}
-				prog, _, err := spec.Build()
-				if err != nil {
-					return nil, err
-				}
-				base, err := sim.NewWithProgram(spec, prog, sim.KindNL, sim.WithBTBEntries(entries))
-				if err != nil {
-					return nil, err
-				}
-				baseRes, err := base.Run(lukewarm.Interleaved)
-				if err != nil {
-					return nil, err
-				}
-				st, err := sim.NewWithProgram(spec, prog, kind, sim.WithBTBEntries(entries))
-				if err != nil {
-					return nil, err
-				}
-				res, err := st.Run(lukewarm.Interleaved)
-				if err != nil {
-					return nil, err
-				}
-				speedups = append(speedups, baseRes.CPI()/res.CPI())
+				row := m.cells[spec.Name]
+				res := row[name].Res
+				speedups = append(speedups, row[base].Res.CPI()/res.CPI())
 				btbs = append(btbs, res.BTBMPKI())
 			}
 			t.AddRowf(entries, string(kind), stats.GeoMean(speedups), stats.Mean(btbs))
-			r.set(fmt.Sprintf("%d/%s", entries, kind), "speedup", stats.GeoMean(speedups))
-			r.set(fmt.Sprintf("%d/%s", entries, kind), "btbmpki", stats.Mean(btbs))
+			r.set(name, "speedup", stats.GeoMean(speedups))
+			r.set(name, "btbmpki", stats.Mean(btbs))
 		}
 	}
 	r.Table = t
@@ -194,47 +182,29 @@ func AblBTB(ctx context.Context, opt Options) (*Result, error) {
 // it at 120 KiB).
 func AblMetadata(ctx context.Context, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	configs := []runConfig{{Name: "nl", Kind: sim.KindNL, Mode: lukewarm.Interleaved}}
+	for _, kib := range []int{8, 30, 60, 120, 240} {
+		configs = append(configs, runConfig{Name: strconv.Itoa(kib), Kind: sim.KindIgnite,
+			Tweak: sim.Tweaks{MetadataBytes: kib << 10}, Mode: lukewarm.Interleaved})
+	}
+	m, err := ablationMatrix(ctx, "abl-metadata", opt, configs)
+	if err != nil {
+		return nil, err
+	}
 	r := &Result{ID: "abl-metadata", Title: Title("abl-metadata")}
 	t := stats.NewTable(r.Title, "budget KiB", "speedup over NL", "BTB MPKI", "records dropped")
-	for _, kib := range []int{8, 30, 60, 120, 240} {
+	for _, rc := range configs[1:] {
 		var speedups, btbs, dropped []float64
 		for _, spec := range opt.Workloads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := opt.Faults.Fire(ctx, faults.Site{
-				Experiment: "abl-metadata", Workload: spec.Name,
-				Config: fmt.Sprintf("%d", kib),
-			}); err != nil {
-				return nil, err
-			}
-			prog, _, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			base, err := sim.NewWithProgram(spec, prog, sim.KindNL)
-			if err != nil {
-				return nil, err
-			}
-			baseRes, err := base.Run(lukewarm.Interleaved)
-			if err != nil {
-				return nil, err
-			}
-			st, err := sim.NewWithProgram(spec, prog, sim.KindIgnite, sim.WithMetadataBytes(kib<<10))
-			if err != nil {
-				return nil, err
-			}
-			res, err := st.Run(lukewarm.Interleaved)
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, baseRes.CPI()/res.CPI())
-			btbs = append(btbs, res.BTBMPKI())
-			dropped = append(dropped, float64(st.Ignite.Recorder().Dropped))
+			row := m.cells[spec.Name]
+			c := row[rc.Name]
+			speedups = append(speedups, row["nl"].Res.CPI()/c.Res.CPI())
+			btbs = append(btbs, c.Res.BTBMPKI())
+			dropped = append(dropped, c.Metrics[mDroppedRecords])
 		}
-		t.AddRowf(kib, stats.GeoMean(speedups), stats.Mean(btbs), stats.Mean(dropped))
-		r.set(fmt.Sprintf("%d", kib), "speedup", stats.GeoMean(speedups))
-		r.set(fmt.Sprintf("%d", kib), "dropped", stats.Mean(dropped))
+		t.AddRowf(rc.Tweak.MetadataBytes>>10, stats.GeoMean(speedups), stats.Mean(btbs), stats.Mean(dropped))
+		r.set(rc.Name, "speedup", stats.GeoMean(speedups))
+		r.set(rc.Name, "dropped", stats.Mean(dropped))
 	}
 	r.Table = t
 	return r, nil

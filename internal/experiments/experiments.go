@@ -330,13 +330,14 @@ type cell struct {
 	Metrics map[string]float64
 }
 
-// Metric keys the figure code reads back out of cell snapshots. Label sets
+// Metric keys the experiment code reads back out of cell snapshots. Label sets
 // are canonical (sorted by key), so these strings are stable.
 const (
 	mIgniteInserted = "traffic.src_inserted{component=traffic,src=ignite}"
 	mIgniteUseful   = "traffic.src_useful{component=traffic,src=ignite}"
 	mBTBRestored    = "btb.restored_inserts{component=btb}"
 	mBTBRestoredUU  = "btb.restored_evicted_untouched{component=btb}"
+	mDroppedRecords = "ignite.dropped_records{component=ignite}"
 )
 
 // matrix is the outcome of runMatrix: the computed cells, every scheduler

@@ -145,9 +145,10 @@ func New(seed uint64) *Plan {
 //	kind@experiment/workload/config[:key=val,...]
 //
 // where kind is panic|transient|slow (or a network kind, see net.go), each
-// site component may be "*", and the options are trips=N (default 1),
-// delay=DUR (slow faults, default 250ms), and rate=F in (0,1] (seeded-hash
-// site selection).
+// site component may be "*", the config is everything after the second '/'
+// (abl-btb's configs are "<entries>/<kind>"), and the options are trips=N
+// (default 1), delay=DUR (slow faults, default 250ms), and rate=F in (0,1]
+// (seeded-hash site selection).
 func (p *Plan) Add(spec string) error {
 	// Options are cut at the last ':' whose tail is key=val shaped — not the
 	// first — because network sites legitimately contain colons
@@ -167,7 +168,7 @@ func (p *Plan) Add(spec string) error {
 	default:
 		return fmt.Errorf("faults: rule %q: unknown kind %q", spec, kindStr)
 	}
-	parts := strings.Split(siteStr, "/")
+	parts := strings.SplitN(siteStr, "/", 3) // a config may itself contain '/'
 	if len(parts) != 3 {
 		return fmt.Errorf("faults: rule %q: site %q is not exp/workload/config", spec, siteStr)
 	}

@@ -54,6 +54,22 @@ func TestParseAndFire(t *testing.T) {
 	}
 }
 
+// TestSlashedConfigSite checks that a config containing '/' (abl-btb names
+// its cells "<entries>/<kind>") is addressable by an exact rule.
+func TestSlashedConfigSite(t *testing.T) {
+	p, err := Parse("transient@abl-btb/A/6144/nl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := p.Fire(ctx, Site{"abl-btb", "A", "6144"}); err != nil {
+		t.Errorf("config prefix fired: %v", err)
+	}
+	if err := p.Fire(ctx, Site{"abl-btb", "A", "6144/nl"}); !IsTransient(err) {
+		t.Errorf("slashed config site did not fire: %v", err)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "nonsense", "explode@a/b/c", "corrupt@a/b/c", "panic@a/b", "panic@a/b/c:trips=0",

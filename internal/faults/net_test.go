@@ -68,7 +68,9 @@ func TestTransportSlowNet(t *testing.T) {
 	if d := time.Since(start); d < 100*time.Millisecond {
 		t.Errorf("request took %v, want >= the injected 120ms delay", d)
 	}
-	var out struct{ OK bool `json:"ok"` }
+	var out struct {
+		OK bool `json:"ok"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || !out.OK {
 		t.Errorf("slowed response damaged: ok=%v err=%v", out.OK, err)
 	}

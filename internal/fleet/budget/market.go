@@ -1,9 +1,11 @@
 package budget
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -80,9 +82,10 @@ func tenantSeed(seed uint64, i int) uint64 {
 	return seed + uint64(i+1)*0x9e3779b97f4a7c15
 }
 
-// mergedSchedule builds the run's arrival sequence: every tenant's own
-// loadgen schedule at its sampled rate, merged and sorted by (time, tenant)
-// so the order is total and deterministic.
+// mergedSchedule builds the run's arrival tape: every tenant's own loadgen
+// schedule at its sampled rate, merged and sorted by (time, tenant) so the
+// order is total and deterministic. The tape depends on the tenants, seed,
+// process and duration only, never on the policy or budget.
 func mergedSchedule(tenants []Tenant, p Params) []event {
 	var events []event
 	for i, t := range tenants {
@@ -90,13 +93,23 @@ func mergedSchedule(tenants []Tenant, p Params) []event {
 			events = append(events, event{at, i})
 		}
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].at != events[b].at {
-			return events[a].at < events[b].at
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return events[a].tenant < events[b].tenant
+		return cmp.Compare(a.tenant, b.tenant)
 	})
 	return events
+}
+
+func (p Params) withDefaults() Params {
+	if p.Process == "" {
+		p.Process = loadgen.Poisson
+	}
+	if p.Duration <= 0 {
+		p.Duration = 60 * time.Second
+	}
+	return p
 }
 
 // Run plays the merged arrival schedule through the policy. The market
@@ -104,25 +117,24 @@ func mergedSchedule(tenants []Tenant, p Params) []event {
 // reports an admission the budget cannot hold or an eviction of a
 // non-resident tenant — policies are untrusted.
 func Run(tenants []Tenant, p Params) (Outcome, error) {
+	p = p.withDefaults()
+	return replay(tenants, p, mergedSchedule(tenants, p))
+}
+
+// replay plays one arrival tape (mergedSchedule of the same tenants and
+// params) through p.Policy.
+func replay(tenants []Tenant, p Params, events []event) (Outcome, error) {
 	if len(tenants) == 0 {
 		return Outcome{}, fmt.Errorf("budget: empty tenant set")
 	}
 	if p.Policy == nil {
 		return Outcome{}, fmt.Errorf("budget: nil policy")
 	}
-	if p.Process == "" {
-		p.Process = loadgen.Poisson
-	}
-	if p.Duration <= 0 {
-		p.Duration = 60 * time.Second
-	}
 	budget := p.BudgetBytes
 	if u, ok := p.Policy.(unbounded); ok && u.Unbounded() {
 		budget = math.MaxUint64
 	}
 	p.Policy.Reset(tenants, budget)
-
-	events := mergedSchedule(tenants, p)
 	if len(events) == 0 {
 		return Outcome{}, fmt.Errorf("budget: no arrivals in %v (rates too low?)", p.Duration)
 	}
@@ -243,13 +255,16 @@ type FrontierPoint struct {
 }
 
 // Frontier sweeps policies × budgets over one tenant set and arrival seed.
-// The "none" baseline is computed once (it is budget-independent) and every
-// point's speedups are measured against it. Points are emitted in
-// (policy, budget) order; ctx cancellation aborts between runs.
+// The arrival tape is built once and replayed for every run. The "none"
+// baseline is computed once (it is budget-independent) and every point's
+// speedups are measured against it. Points are emitted in (policy, budget)
+// order; ctx cancellation aborts between runs.
 func Frontier(ctx context.Context, tenants []Tenant, policies []string, budgets []uint64, p Params) ([]FrontierPoint, error) {
+	p = p.withDefaults()
+	tape := mergedSchedule(tenants, p)
 	base := p
 	base.Policy = NewNone()
-	baseline, err := Run(tenants, base)
+	baseline, err := replay(tenants, base, tape)
 	if err != nil {
 		return nil, fmt.Errorf("budget: baseline: %w", err)
 	}
@@ -267,7 +282,7 @@ func Frontier(ctx context.Context, tenants []Tenant, policies []string, budgets 
 			run := p
 			run.Policy = pol
 			run.BudgetBytes = b
-			o, err := Run(tenants, run)
+			o, err := replay(tenants, run, tape)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package budget_test
 import (
 	"context"
 	"encoding/json"
+	"sort"
 	"testing"
 	"time"
 
@@ -128,18 +129,27 @@ func TestBudgetMonotonicity(t *testing.T) {
 }
 
 // TestFrontier exercises the sweep: speedups are ≥1 relative to the
-// all-cold baseline and the oracle dominates at every budget.
+// all-cold baseline and the oracle dominates at every budget. Every point,
+// replayed from the sweep's one shared arrival tape, must equal a
+// standalone Run of the same policy and budget, with speedups against a
+// standalone all-cold run.
 func TestFrontier(t *testing.T) {
 	tenants := sampleTenants(t, 77, 120)
 	budgets := []uint64{2 << 20, 8 << 20}
+	p := budget.Params{Seed: 3, Duration: 20 * time.Second, Process: loadgen.Poisson}
 	points, err := budget.Frontier(context.Background(), tenants,
-		[]string{"lru", "benefit", "oracle"}, budgets,
-		budget.Params{Seed: 3, Duration: 20 * time.Second, Process: loadgen.Poisson})
+		[]string{"lru", "benefit", "oracle"}, budgets, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 6 {
 		t.Fatalf("got %d frontier points, want 6", len(points))
+	}
+	base := p
+	base.Policy = budget.NewNone()
+	none, err := budget.Run(tenants, base)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, pt := range points {
 		if pt.MeanSpeedup < 1-1e-9 {
@@ -148,6 +158,24 @@ func TestFrontier(t *testing.T) {
 		}
 		if pt.P99Speedup <= 0 {
 			t.Errorf("%s @ %d MiB: non-positive p99 speedup", pt.Policy, pt.BudgetBytes>>20)
+		}
+		pol, err := budget.NewPolicy(pt.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := p
+		run.Policy, run.BudgetBytes = pol, pt.BudgetBytes
+		want, err := budget.Run(tenants, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, _ := json.Marshal(pt.Outcome)
+		wantJSON, _ := json.Marshal(want)
+		if string(gotJSON) != string(wantJSON) {
+			t.Errorf("%s @ %d MiB:\nfrontier: %s\nrun:      %s", pt.Policy, pt.BudgetBytes>>20, gotJSON, wantJSON)
+		}
+		if pt.MeanSpeedup != none.MeanCPI/want.MeanCPI || pt.P99Speedup != none.P99CPI/want.P99CPI {
+			t.Errorf("%s @ %d MiB: speedups not against a standalone all-cold run", pt.Policy, pt.BudgetBytes>>20)
 		}
 	}
 }
@@ -216,5 +244,147 @@ func TestPolicyValidation(t *testing.T) {
 	tenants := sampleTenants(t, 1, 5)
 	if _, err := budget.Run(tenants, budget.Params{}); err == nil {
 		t.Error("nil policy accepted")
+	}
+}
+
+// sortLRU is the LRU the recency list replaced, kept as the reference: on a
+// miss that needs room it collects every resident and sorts them by (last
+// touch, index).
+type sortLRU struct {
+	budget, used uint64
+	size         []uint64
+	resident     []bool
+	lastTouch    []float64
+}
+
+func (p *sortLRU) Name() string { return "lru" }
+
+func (p *sortLRU) Reset(tenants []budget.Tenant, b uint64) {
+	p.budget, p.used = b, 0
+	p.size = make([]uint64, len(tenants))
+	p.resident = make([]bool, len(tenants))
+	p.lastTouch = make([]float64, len(tenants))
+	for i, t := range tenants {
+		p.size[i] = t.C.MetaBytes
+	}
+}
+
+func (p *sortLRU) OnHit(i int, now float64) { p.lastTouch[i] = now }
+
+func (p *sortLRU) OnMiss(i int, now float64) (bool, []int) {
+	p.lastTouch[i] = now
+	need := p.size[i]
+	if need > p.budget {
+		return false, nil
+	}
+	var cands []int
+	for j, res := range p.resident {
+		if res {
+			cands = append(cands, j)
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if ta, tb := p.lastTouch[cands[a]], p.lastTouch[cands[b]]; ta != tb {
+			return ta < tb
+		}
+		return cands[a] < cands[b]
+	})
+	var victims []int
+	for _, v := range cands {
+		if p.budget-p.used >= need {
+			break
+		}
+		victims = append(victims, v)
+		p.resident[v] = false
+		p.used -= p.size[v]
+	}
+	p.resident[i] = true
+	p.used += need
+	return true, victims
+}
+
+// TestLRUMatchesSortedReference pins the recency-list LRU to the sorting
+// one it replaced: identical outcomes at the tenant sets, seeds and budgets
+// of TestPolicyOrdering and TestBudgetMonotonicity.
+func TestLRUMatchesSortedReference(t *testing.T) {
+	cases := []struct {
+		tenantSeed, runSeed uint64
+		n                   int
+		budgets             []uint64
+	}{
+		{21, 9, 200, []uint64{6 << 20}},
+		{33, 17, 150, []uint64{1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 64 << 20}},
+	}
+	evictions := 0
+	for _, c := range cases {
+		tenants := sampleTenants(t, c.tenantSeed, c.n)
+		for _, b := range c.budgets {
+			got, err := budget.Run(tenants, runParams(c.runSeed, b, budget.NewLRU()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := budget.Run(tenants, runParams(c.runSeed, b, &sortLRU{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, _ := json.Marshal(got)
+			wantJSON, _ := json.Marshal(want)
+			if string(gotJSON) != string(wantJSON) {
+				t.Errorf("tenants %d, seed %d, %d MiB:\nlist:   %s\nsorted: %s",
+					c.tenantSeed, c.runSeed, b>>20, gotJSON, wantJSON)
+			}
+			evictions += got.Evictions
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("no budget evicted anything; the comparison is vacuous")
+	}
+}
+
+// TestLRUTieEvictsLowerIndex drives the policies directly: two residents
+// last touched at the same instant, in index order as the market delivers
+// them, must be evicted lower index first even though they were admitted
+// in the other order.
+func TestLRUTieEvictsLowerIndex(t *testing.T) {
+	tenants := make([]budget.Tenant, 3)
+	for i := range tenants {
+		tenants[i].C.MetaBytes = 100
+	}
+	for _, p := range []budget.Policy{budget.NewLRU(), &sortLRU{}} {
+		p.Reset(tenants, 200)
+		for _, i := range []int{1, 0} {
+			if admit, victims := p.OnMiss(i, float64(2-i)); !admit || len(victims) != 0 {
+				t.Fatalf("%T: admitting tenant %d into free space: admit=%v victims=%v", p, i, admit, victims)
+			}
+		}
+		p.OnHit(0, 3)
+		p.OnHit(1, 3)
+		if admit, victims := p.OnMiss(2, 4); !admit || len(victims) != 1 || victims[0] != 0 {
+			t.Errorf("%T: OnMiss(2) = %v, %v; want admit with victims [0]", p, admit, victims)
+		}
+	}
+}
+
+// BenchmarkFrontier times the budget market at the default fleet's shape:
+// 1000 analytically priced tenants sampled with seed 1, a 30 s Poisson
+// window, every real policy over the 2-64 MiB budget ladder.
+func BenchmarkFrontier(b *testing.B) {
+	fns, err := population.Sample(population.Params{Seed: 1, N: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tenants, err := budget.Tenants(fns, budget.Analytic{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	policies := []string{"lru", "benefit", "topk", "oracle"}
+	budgets := []uint64{2 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20}
+	p := budget.Params{Seed: 1, Duration: 30 * time.Second, Process: loadgen.Poisson}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := budget.Frontier(context.Background(), tenants, policies, budgets, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -68,10 +68,13 @@ func (r *residency) admit(i int) {
 }
 
 // LRU admits every recorded tenant and evicts the least-recently-invoked
-// residents until the newcomer fits.
+// residents until the newcomer fits. Residents sit on an intrusive recency
+// list, oldest at the head: the market delivers arrivals in (time, tenant)
+// order, so moving each touched tenant to the tail keeps the list in
+// (last touch, index) order and eviction pops from the head.
 type LRU struct {
 	residency
-	lastTouch []float64
+	prev, next []int // recency links; index len(tenants) is the sentinel
 }
 
 // NewLRU returns the least-recently-used policy.
@@ -81,51 +84,44 @@ func (p *LRU) Name() string { return "lru" }
 
 func (p *LRU) Reset(tenants []Tenant, budget uint64) {
 	p.reset(tenants, budget)
-	p.lastTouch = make([]float64, len(tenants))
+	n := len(tenants)
+	p.prev = make([]int, n+1)
+	p.next = make([]int, n+1)
+	p.prev[n], p.next[n] = n, n
 }
 
-func (p *LRU) OnHit(i int, now float64) { p.lastTouch[i] = now }
+func (p *LRU) unlink(i int) {
+	p.next[p.prev[i]] = p.next[i]
+	p.prev[p.next[i]] = p.prev[i]
+}
 
-func (p *LRU) OnMiss(i int, now float64) (bool, []int) {
-	p.lastTouch[i] = now
+func (p *LRU) pushBack(i int) {
+	s := len(p.prev) - 1
+	p.prev[i], p.next[i] = p.prev[s], s
+	p.next[p.prev[s]] = i
+	p.prev[s] = i
+}
+
+func (p *LRU) OnHit(i int, _ float64) {
+	p.unlink(i)
+	p.pushBack(i)
+}
+
+func (p *LRU) OnMiss(i int, _ float64) (bool, []int) {
 	need := p.size[i]
 	if need > p.budget {
 		return false, nil
 	}
-	free := p.budget - p.used
-	if free >= need {
-		p.admit(i)
-		return true, nil
-	}
 	// Evict coldest residents until the newcomer fits.
-	type cand struct {
-		idx   int
-		touch float64
-	}
-	var cands []cand
-	for j, res := range p.resident {
-		if res {
-			cands = append(cands, cand{j, p.lastTouch[j]})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].touch != cands[b].touch {
-			return cands[a].touch < cands[b].touch
-		}
-		return cands[a].idx < cands[b].idx
-	})
 	var victims []int
-	for _, c := range cands {
-		if free >= need {
-			break
-		}
-		victims = append(victims, c.idx)
-		free += p.size[c.idx]
-	}
-	for _, v := range victims {
+	for p.budget-p.used < need {
+		v := p.next[len(p.next)-1]
+		p.unlink(v)
 		p.evict(v)
+		victims = append(victims, v)
 	}
 	p.admit(i)
+	p.pushBack(i)
 	return true, victims
 }
 
@@ -257,8 +253,8 @@ type Oracle struct{ residency }
 // NewOracle returns the no-budget oracle policy.
 func NewOracle() *Oracle { return &Oracle{} }
 
-func (p *Oracle) Name() string      { return "oracle" }
-func (p *Oracle) Unbounded() bool   { return true }
+func (p *Oracle) Name() string       { return "oracle" }
+func (p *Oracle) Unbounded() bool    { return true }
 func (p *Oracle) OnHit(int, float64) {}
 
 func (p *Oracle) Reset(tenants []Tenant, budget uint64) { p.reset(tenants, budget) }

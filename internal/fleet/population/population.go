@@ -281,9 +281,9 @@ func drawRate(rng *rand.Rand, f Flavor) float64 {
 
 // stage holds one drawn function body in measured Figure-2 coordinates.
 type stage struct {
-	codeKiB, sites int
-	instrs         uint64
-	footKiB        int
+	codeKiB, sites     int
+	instrs             uint64
+	footKiB            int
 	memOp, hot, stride float64
 }
 

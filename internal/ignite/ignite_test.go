@@ -229,7 +229,7 @@ func TestTickCreditRetentionAcrossStalls(t *testing.T) {
 
 	// While stalled, further cycles confer no credit and restore nothing.
 	for i := 0; i < 100; i++ {
-		r.Tick(uint64(500 + i), 10)
+		r.Tick(uint64(500+i), 10)
 	}
 	if got := r.Credit(); got != credit {
 		t.Errorf("credit changed during stall: %g -> %g", credit, got)

@@ -331,9 +331,9 @@ type CatalogResponse struct {
 // MetricsDocument is the /metrics endpoint's JSON form: a versioned,
 // deterministic snapshot of the server's registry.
 type MetricsDocument struct {
-	SchemaVersion int     `json:"schemaVersion"`
-	Kind          string  `json:"kind"`
-	UptimeSec     float64 `json:"uptimeSec"`
+	SchemaVersion int            `json:"schemaVersion"`
+	Kind          string         `json:"kind"`
+	UptimeSec     float64        `json:"uptimeSec"`
 	Samples       []MetricSample `json:"samples"`
 }
 

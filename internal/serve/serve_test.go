@@ -93,8 +93,8 @@ func TestTweakSpecToSim(t *testing.T) {
 	}
 	// Geometry the engine would panic on must be rejected at the wire.
 	for _, bad := range []*TweakSpec{
-		{L2KiB: 512},      // 8192 lines not divisible by 20 ways
-		{L2KiB: 400},      // divisible, but 320 sets is not a power of two
+		{L2KiB: 512},       // 8192 lines not divisible by 20 ways
+		{L2KiB: 400},       // divisible, but 320 sets is not a power of two
 		{BTBEntries: 2048}, // not divisible by 6 ways
 		{BTBEntries: 6000}, // divisible, but 1000 sets is not a power of two
 		{MetadataBytes: -1},

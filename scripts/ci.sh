@@ -8,6 +8,8 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Formatting gate: every tracked Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 # The full suite simulates hundreds of (workload, config) cells; under the
 # race detector on a small machine that legitimately exceeds go test's 10m
 # default timeout, so set an explicit budget.
@@ -50,8 +52,9 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 
 # Bench smoke: every benchmark must still run (one iteration each) — a
 # benchmark that panics or no longer compiles is a broken promise to anyone
-# comparing against the committed BENCH_<n>.json trajectory.
-go test -run '^$' -bench=. -benchtime=1x ./internal/engine
+# comparing against the committed BENCH_<n>.json trajectory. The
+# internal/fleet/budget package holds the budget market's BenchmarkFrontier.
+go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget
 
 # Batching path under the race detector, by name: the batched invocation
 # entry point (engine.RunInvocations + the lukewarm protocol riding it) and
