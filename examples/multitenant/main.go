@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"runtime"
 	"time"
 
 	"ignite/internal/fleet/budget"
@@ -42,8 +43,9 @@ func main() {
 	// bound; speedups are against running every invocation cold.
 	policies := []string{"lru", "benefit", "topk", "oracle"}
 	budgets := []uint64{2 << 20, 8 << 20, 32 << 20}
+	// The points replay one shared arrival tape on NumCPU goroutines.
 	points, err := budget.Frontier(context.Background(), tenants, policies, budgets,
-		budget.Params{Seed: 1, Duration: 30 * time.Second, Process: loadgen.Poisson})
+		budget.Params{Seed: 1, Duration: 30 * time.Second, Process: loadgen.Poisson}, runtime.NumCPU())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -280,9 +280,13 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	// Act 4: warm replay from the store alone — no fleet, no compute.
 	warmOpt := o.Opt
 	warmOpt.Cache = experiments.NewCellCache()
-	experiments.BindStore(warmOpt.Cache, st, &experiments.StoreStats{})
+	warmStats := &experiments.StoreStats{}
+	experiments.BindStore(warmOpt.Cache, st, warmStats)
 	if _, err := sweep(ctx, ids, warmOpt, baseline, "warm"); err != nil {
 		return nil, err
+	}
+	if misses, saves := warmStats.Misses.Value(), warmStats.Saves.Value(); misses != 0 || saves != 0 {
+		return nil, fmt.Errorf("chaos: warm replay missed %d cell(s) and saved %d record(s), want 0 and 0", misses, saves)
 	}
 	warmRoot, _, err := st.Seal()
 	if err != nil {

@@ -130,6 +130,39 @@ func TestDistByteIdenticalToLocal(t *testing.T) {
 	}
 }
 
+// TestDistAblationByteIdentical pins that ablation cells ship to workers
+// like figure cells: abl-throttle through a two-worker coordinator exports
+// the local run's document bytes, and every one of its cells — the nl
+// baseline plus the five thresholds per workload — completes remotely.
+func TestDistAblationByteIdentical(t *testing.T) {
+	optLocal := testOpts(t)
+	optLocal.Cache = experiments.NewCellCache()
+	resLocal, err := experiments.Run(context.Background(), "abl-throttle", optLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: startWorkers(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	optDist := testOpts(t)
+	optDist.Cache = experiments.NewCellCache()
+	optDist.Cache.SetRemote(coord.Remote())
+	resDist, err := experiments.Run(context.Background(), "abl-throttle", optDist)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if !bytes.Equal(docBytes(t, resLocal, optLocal), docBytes(t, resDist, optDist)) {
+		t.Error("distributed abl-throttle document differs from local run")
+	}
+	if tasks, _, _ := coord.Stats(); tasks != uint64(6*len(optDist.Workloads)) {
+		t.Errorf("coordinator completed %d tasks, want %d (nl plus 5 thresholds per workload)", tasks, 6*len(optDist.Workloads))
+	}
+}
+
 // TestWorkerRejectsKeyMismatch pins the version-skew guard: a task whose
 // coordinator-computed key disagrees with the worker's derivation must be
 // refused with a permanent key-mismatch envelope, never computed.

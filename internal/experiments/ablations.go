@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"ignite/internal/check"
 	"ignite/internal/engine"
 	"ignite/internal/faults"
 	"ignite/internal/ignite"
@@ -25,75 +26,84 @@ func init() {
 
 // AblCodec sweeps the compact-record delta widths and reports bits per
 // record — the study behind the paper's footnote 6 claim that 7-bit
-// branch-PC and 21-bit target deltas compress best.
+// branch-PC and 21-bit target deltas compress best. Its six recorder runs
+// are scheduler cells (retry, per-cell deadline, MaxCycles watchdog,
+// Checks) over the cache's program memo; rows assemble in config order, and
+// a failed run fails the experiment under either failure policy.
 func AblCodec(ctx context.Context, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	r := &Result{ID: "abl-codec", Title: Title("abl-codec")}
-	t := stats.NewTable(r.Title,
-		"ΔPC bits", "Δtarget bits", "compact %", "bits/record", "metadata KiB")
-
 	configs := []struct{ pc, tgt uint }{
 		{4, 12}, {7, 14}, {7, 21}, {10, 21}, {14, 28}, {21, 7},
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	// One representative workload is enough for the codec study (and keeps
 	// the sweep cheap); use the first selected workload.
 	spec := opt.Workloads[0]
-	prog, _, err := spec.Build()
+	prog, err := opt.Cache.fork().program(spec)
 	if err != nil {
 		return nil, err
 	}
-	for _, w := range configs {
-		// The codec study runs its cells serially; fire injected faults at
-		// the same (experiment, workload, config) granularity as the
-		// scheduler so chaos plans cover them too.
-		if err := opt.Faults.Fire(ctx, faults.Site{
-			Experiment: "abl-codec", Workload: spec.Name,
-			Config: fmt.Sprintf("%d/%d", w.pc, w.tgt),
-		}); err != nil {
-			return nil, err
-		}
-		codec := ignite.CodecConfig{DeltaPCBits: w.pc, DeltaTargetBits: w.tgt, FullAddrBits: 48}
-		ec := engine.DefaultConfig()
-		eng := engine.New(prog, ec)
-		region := memsys.NewRegion(0, 4<<20) // unbounded for the study
-		rec := ignite.NewRecorder(codec, region, nil)
-		rec.Attach(eng.BTB())
-		rec.Start()
-		eng.Thrash(1)
-		if _, err := eng.RunInvocation(engine.InvocationOptions{Seed: 1, MaxInstr: spec.MaxInstr()}); err != nil {
-			return nil, err
-		}
-		rec.Stop()
-		row := fmt.Sprintf("%d/%d", w.pc, w.tgt)
+	type codecRow struct{ records, compact, used int }
+	rows := make([]codecRow, len(configs))
+	sched := newScheduler(ctx, "abl-codec", opt)
+	for i, w := range configs {
+		name := fmt.Sprintf("%d/%d", w.pc, w.tgt)
+		sched.submit(spec.Name, name, func(cctx context.Context, _ int) error {
+			if err := opt.Faults.Fire(cctx, faults.Site{Experiment: "abl-codec", Workload: spec.Name, Config: name}); err != nil {
+				return err
+			}
+			codec := ignite.CodecConfig{DeltaPCBits: w.pc, DeltaTargetBits: w.tgt, FullAddrBits: 48}
+			ec := engine.DefaultConfig()
+			ec.MaxCycles = opt.MaxCycles
+			eng := engine.New(prog, ec)
+			if opt.Checks {
+				eng.SetInvocationCheck(check.New(eng).CheckInvocation)
+			}
+			region := memsys.NewRegion(0, 4<<20) // unbounded for the study
+			rec := ignite.NewRecorder(codec, region, nil)
+			rec.Attach(eng.BTB())
+			rec.Start()
+			eng.Thrash(1)
+			if _, err := eng.RunInvocation(engine.InvocationOptions{Seed: 1, MaxInstr: spec.MaxInstr()}); err != nil {
+				return err
+			}
+			rec.Stop()
+			rows[i] = codecRow{rec.Records(), rec.CompactRecords(), region.Used()}
+			return nil
+		})
+	}
+	if err := joinOutcomes(sched.wait(), ctx.Err()); err != nil {
+		return nil, err
+	}
+	r := &Result{ID: "abl-codec", Title: Title("abl-codec")}
+	t := stats.NewTable(r.Title,
+		"ΔPC bits", "Δtarget bits", "compact %", "bits/record", "metadata KiB")
+	for i, w := range configs {
+		row, c := fmt.Sprintf("%d/%d", w.pc, w.tgt), rows[i]
 		bitsPerRec := 0.0
 		compactPct := 0.0
-		if rec.Records() > 0 {
-			bitsPerRec = float64(region.Used()*8) / float64(rec.Records())
-			compactPct = float64(recCompact(rec)) / float64(rec.Records()) * 100
+		if c.records > 0 {
+			bitsPerRec = float64(c.used*8) / float64(c.records)
+			compactPct = float64(c.compact) / float64(c.records) * 100
 		}
-		t.AddRowf(fmt.Sprintf("%d", w.pc), fmt.Sprintf("%d", w.tgt),
-			compactPct, bitsPerRec, float64(region.Used())/1024)
+		kib := float64(c.used) / 1024
+		t.AddRowf(fmt.Sprintf("%d", w.pc), fmt.Sprintf("%d", w.tgt), compactPct, bitsPerRec, kib)
 		r.set(row, "bitsPerRecord", bitsPerRec)
 		r.set(row, "compactPct", compactPct)
-		r.set(row, "metadataKiB", float64(region.Used())/1024)
+		r.set(row, "metadataKiB", kib)
 	}
 	r.Table = t
 	return r, nil
 }
 
-func recCompact(r *ignite.Recorder) int { return r.CompactRecords() }
-
-// ablationMatrix runs an ablation's points as scheduler cells through a
-// call-private cell cache (Cache = nil): the points share one program build
-// per workload and run Parallel-wide, while the shared cache's Stats — and
-// so every exported manifest — and the cell store never see them. An
-// ablation row averages over every workload, so a failed cell fails the
-// experiment under either failure policy.
+// ablationMatrix runs an ablation's points as scheduler cells, Parallel-wide,
+// through a fork of the run's cache: the cells reuse the figures' programs
+// and traces, load from and save to the store, and ship to the remote
+// workers like figure cells, while the shared cache's Stats — and so every
+// exported manifest — never see them. An ablation row averages over every
+// workload, so a failed cell fails the experiment under either failure
+// policy.
 func ablationMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*matrix, error) {
-	opt.Cache = nil
+	opt.Cache = opt.Cache.fork()
 	m, err := runMatrix(ctx, id, opt, configs)
 	if err != nil {
 		return nil, err

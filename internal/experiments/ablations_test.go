@@ -8,8 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"ignite/internal/engine"
 	"ignite/internal/faults"
+	"ignite/internal/ignite"
 	"ignite/internal/lukewarm"
+	"ignite/internal/memsys"
 	"ignite/internal/sim"
 	"ignite/internal/stats"
 	"ignite/internal/workload"
@@ -101,6 +104,39 @@ func serialAblation(t *testing.T, id ID, specs []workload.Spec) *Result {
 			r.set(fmt.Sprintf("%d", kib), "speedup", stats.GeoMean(sp))
 			r.set(fmt.Sprintf("%d", kib), "dropped", stats.Mean(dropped))
 		}
+	case "abl-codec":
+		r.Table = stats.NewTable(r.Title,
+			"ΔPC bits", "Δtarget bits", "compact %", "bits/record", "metadata KiB")
+		spec := specs[0]
+		prog, _, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []struct{ pc, tgt uint }{{4, 12}, {7, 14}, {7, 21}, {10, 21}, {14, 28}, {21, 7}} {
+			codec := ignite.CodecConfig{DeltaPCBits: w.pc, DeltaTargetBits: w.tgt, FullAddrBits: 48}
+			eng := engine.New(prog, engine.DefaultConfig())
+			region := memsys.NewRegion(0, 4<<20)
+			rec := ignite.NewRecorder(codec, region, nil)
+			rec.Attach(eng.BTB())
+			rec.Start()
+			eng.Thrash(1)
+			if _, err := eng.RunInvocation(engine.InvocationOptions{Seed: 1, MaxInstr: spec.MaxInstr()}); err != nil {
+				t.Fatal(err)
+			}
+			rec.Stop()
+			row := fmt.Sprintf("%d/%d", w.pc, w.tgt)
+			bitsPerRec := 0.0
+			compactPct := 0.0
+			if rec.Records() > 0 {
+				bitsPerRec = float64(region.Used()*8) / float64(rec.Records())
+				compactPct = float64(rec.CompactRecords()) / float64(rec.Records()) * 100
+			}
+			r.Table.AddRowf(fmt.Sprintf("%d", w.pc), fmt.Sprintf("%d", w.tgt),
+				compactPct, bitsPerRec, float64(region.Used())/1024)
+			r.set(row, "bitsPerRecord", bitsPerRec)
+			r.set(row, "compactPct", compactPct)
+			r.set(row, "metadataKiB", float64(region.Used())/1024)
+		}
 	default:
 		t.Fatalf("no serial reference for %s", id)
 	}
@@ -119,15 +155,16 @@ func ablationOpts(t *testing.T, div uint64) Options {
 	return opt
 }
 
-// TestAblationsMatchSerialReference requires the scheduled ablations to
-// reproduce the serial reference bit for bit, at one and at four workers,
-// with no cells attached to the result.
+// TestAblationsMatchSerialReference requires the scheduled ablations, the
+// codec study's recorder runs included, to reproduce the serial reference
+// bit for bit, at one and at four workers, with no cells attached to the
+// result.
 func TestAblationsMatchSerialReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates every ablation point three times")
 	}
 	opt := ablationOpts(t, 4)
-	for _, id := range []ID{"abl-throttle", "abl-btb", "abl-metadata"} {
+	for _, id := range []ID{"abl-throttle", "abl-btb", "abl-metadata", "abl-codec"} {
 		want := serialAblation(t, id, opt.Workloads)
 		if id == "abl-metadata" && want.Get("8", "dropped") == 0 {
 			t.Fatal("the 8 KiB point drops no records; the dropped-records path is untested")
@@ -207,5 +244,23 @@ func TestAblationCellFailureFailsExperiment(t *testing.T) {
 				t.Errorf("%s under %v: result %v, err %v; want the injected cell's transient error", site, policy, r, err)
 			}
 		}
+	}
+}
+
+// TestAblCodecHonorsMaxCyclesAndChecks pins that the codec study's recorder
+// runs are armed like every other cell: a cycle budget far below one
+// invocation fails the experiment with the watchdog's error, and the
+// invariant verifier audits them without a false alarm.
+func TestAblCodecHonorsMaxCyclesAndChecks(t *testing.T) {
+	opt := ablationOpts(t, 32)
+	o := opt
+	o.MaxCycles = 1000
+	if _, err := Run(context.Background(), "abl-codec", o); !errors.Is(err, engine.ErrCycleBudget) {
+		t.Errorf("abl-codec under a 1000-cycle budget: err %v, want engine.ErrCycleBudget", err)
+	}
+	o = opt
+	o.Checks = true
+	if _, err := Run(context.Background(), "abl-codec", o); err != nil {
+		t.Errorf("abl-codec with checks: %v", err)
 	}
 }

@@ -44,7 +44,7 @@ var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 // seed, never on the front-end configuration, so a workload's ~6 invocation
 // traces are identical across every cell.
 type CellCache struct {
-	mu     sync.Mutex
+	mu     *sync.Mutex // shared with forks, see fork
 	progs  map[string]*progEntry
 	cells  map[string]*cellEntry
 	traces map[string]*traceEntry
@@ -118,10 +118,25 @@ type traceEntry struct {
 // NewCellCache returns an empty cache.
 func NewCellCache() *CellCache {
 	return &CellCache{
+		mu:     new(sync.Mutex),
 		progs:  make(map[string]*progEntry),
 		cells:  make(map[string]*cellEntry),
 		traces: make(map[string]*traceEntry),
 	}
+}
+
+// fork returns a cache with its own cell accounting (cells and hits) that
+// shares everything else with cc: the program and trace memo, the backing
+// store and the remote delegate. The ablations run on a fork, so their
+// cells persist and ship like the figures' while the shared cache's Stats —
+// and so every exported manifest — never see them. A nil cc forks into a
+// fresh cache.
+func (cc *CellCache) fork() *CellCache {
+	if cc == nil {
+		return NewCellCache()
+	}
+	return &CellCache{mu: cc.mu, progs: cc.progs, traces: cc.traces,
+		cells: make(map[string]*cellEntry), backing: cc.backing, remote: cc.remote}
 }
 
 // specKey fingerprints everything about a workload that affects simulation:

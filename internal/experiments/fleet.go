@@ -180,7 +180,7 @@ func FleetFrontier(ctx context.Context, opt Options, p FleetParams) (*Result, er
 		Seed:     p.Seed,
 		Duration: p.Duration,
 		Process:  p.Process,
-	})
+	}, opt.withDefaults().Parallel)
 	if err != nil {
 		return nil, err
 	}

@@ -85,8 +85,8 @@ func TestFleetPopulationValues(t *testing.T) {
 
 // TestFleetFrontierParallelIndependence pins the determinism acceptance:
 // the exported document is byte-identical regardless of the scheduler
-// width in Options (the fleet experiments are single serial passes, and
-// nothing about the surrounding parallelism may leak into their bytes).
+// width in Options. fleet-frontier replays its points Options.Parallel
+// goroutines wide, so this compares the serial path with the parallel one.
 func TestFleetFrontierParallelIndependence(t *testing.T) {
 	p := fleetQuickParams()
 	encode := func(parallel int) []byte {

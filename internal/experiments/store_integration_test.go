@@ -262,3 +262,62 @@ func TestStoreManifestCorruptionRecomputed(t *testing.T) {
 		t.Errorf("post-reseal run served %d warm records, want 4", hits)
 	}
 }
+
+// TestAblationsResumeFromStore pins the ablations' store path. A cold
+// RunAll of fig8 and the three sensitivity ablations over a fresh store
+// serves the two nl baselines abl-throttle and abl-metadata share with
+// fig8 from fig8's records. A rerun on a new cache over the sealed store
+// computes and saves nothing and exports byte-identical documents. Both
+// leave the shared cache's Stats as fig8 alone leaves them.
+func TestAblationsResumeFromStore(t *testing.T) {
+	ids := []ID{"fig8", "abl-throttle", "abl-btb", "abl-metadata"}
+	dir := t.TempDir()
+	run := func(ids []ID, st *store.Store) (docs [][]byte, stats *StoreStats, cells, hits int) {
+		opt := ablationOpts(t, 32)
+		opt.Cache = NewCellCache()
+		stats = &StoreStats{}
+		if st != nil {
+			BindStore(opt.Cache, st, stats)
+		}
+		results, err := RunAll(context.Background(), ids, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			docs = append(docs, docBytes(t, r, opt))
+		}
+		cells, hits = opt.Cache.Stats()
+		return docs, stats, cells, hits
+	}
+	open := func() *store.Store {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	_, _, fig8Cells, fig8Hits := run(ids[:1], nil)
+
+	st := open()
+	coldDocs, cold, coldCells, coldHits := run(ids, st)
+	if _, _, err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	warmDocs, warm, warmCells, warmHits := run(ids, open())
+
+	if want := uint64(2 * len(ablationOpts(t, 32).Workloads)); cold.Hits.Value() != want {
+		t.Errorf("cold run: %d store hits, want %d (the nl baselines from fig8's records)", cold.Hits.Value(), want)
+	}
+	if warm.Misses.Value() != 0 || warm.Saves.Value() != 0 {
+		t.Errorf("warm run: %d misses / %d saves, want 0 / 0", warm.Misses.Value(), warm.Saves.Value())
+	}
+	for i, id := range ids {
+		if !bytes.Equal(coldDocs[i], warmDocs[i]) {
+			t.Errorf("%s: warm-store document differs from the cold run", id)
+		}
+	}
+	if coldCells != fig8Cells || coldHits != fig8Hits || warmCells != fig8Cells || warmHits != fig8Hits {
+		t.Errorf("shared cache Stats: fig8 alone %d cells/%d hits, cold %d/%d, warm %d/%d",
+			fig8Cells, fig8Hits, coldCells, coldHits, warmCells, warmHits)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ignite/internal/fleet/population"
@@ -255,11 +257,13 @@ type FrontierPoint struct {
 }
 
 // Frontier sweeps policies × budgets over one tenant set and arrival seed.
-// The arrival tape is built once and replayed for every run. The "none"
-// baseline is computed once (it is budget-independent) and every point's
-// speedups are measured against it. Points are emitted in (policy, budget)
-// order; ctx cancellation aborts between runs.
-func Frontier(ctx context.Context, tenants []Tenant, policies []string, budgets []uint64, p Params) ([]FrontierPoint, error) {
+// The arrival tape is built once and replayed, read-only, for every run on
+// up to width goroutines. The "none" baseline is computed once (it is
+// budget-independent) and every point's speedups are measured against it.
+// Points are emitted in (policy, budget) order, and an error is the one
+// the first failing point in that order reports; ctx cancellation aborts
+// between runs.
+func Frontier(ctx context.Context, tenants []Tenant, policies []string, budgets []uint64, p Params, width int) ([]FrontierPoint, error) {
 	p = p.withDefaults()
 	tape := mergedSchedule(tenants, p)
 	base := p
@@ -269,30 +273,58 @@ func Frontier(ctx context.Context, tenants []Tenant, policies []string, budgets 
 		return nil, fmt.Errorf("budget: baseline: %w", err)
 	}
 
-	var points []FrontierPoint
-	for _, name := range policies {
-		for _, b := range budgets {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	// Workers claim points in order and stop claiming after a failure, so
+	// every point before a failed one has run and the first error in order
+	// is the one a serial sweep would report.
+	points := make([]FrontierPoint, len(policies)*len(budgets))
+	errs := make([]error, len(points))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(max(width, 1), len(points)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(points) {
+					return
+				}
+				points[i], errs[i] = frontierPoint(ctx, tenants, p, tape, baseline,
+					policies[i/len(budgets)], budgets[i%len(budgets)])
+				if errs[i] != nil {
+					failed.Store(true)
+				}
 			}
-			pol, err := NewPolicy(name)
-			if err != nil {
-				return nil, err
-			}
-			run := p
-			run.Policy = pol
-			run.BudgetBytes = b
-			o, err := replay(tenants, run, tape)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, FrontierPoint{
-				Outcome:     o,
-				MeanSpeedup: baseline.MeanCPI / o.MeanCPI,
-				P50Speedup:  baseline.P50CPI / o.P50CPI,
-				P99Speedup:  baseline.P99CPI / o.P99CPI,
-			})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return points, nil
+}
+
+// frontierPoint replays the tape under a fresh policy at one budget.
+func frontierPoint(ctx context.Context, tenants []Tenant, p Params, tape []event, baseline Outcome, policy string, budget uint64) (FrontierPoint, error) {
+	if err := ctx.Err(); err != nil {
+		return FrontierPoint{}, err
+	}
+	pol, err := NewPolicy(policy)
+	if err != nil {
+		return FrontierPoint{}, err
+	}
+	p.Policy, p.BudgetBytes = pol, budget
+	o, err := replay(tenants, p, tape)
+	if err != nil {
+		return FrontierPoint{}, err
+	}
+	return FrontierPoint{
+		Outcome:     o,
+		MeanSpeedup: baseline.MeanCPI / o.MeanCPI,
+		P50Speedup:  baseline.P50CPI / o.P50CPI,
+		P99Speedup:  baseline.P99CPI / o.P99CPI,
+	}, nil
 }

@@ -3,7 +3,9 @@ package budget_test
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,18 +134,24 @@ func TestBudgetMonotonicity(t *testing.T) {
 // all-cold baseline and the oracle dominates at every budget. Every point,
 // replayed from the sweep's one shared arrival tape, must equal a
 // standalone Run of the same policy and budget, with speedups against a
-// standalone all-cold run.
+// standalone all-cold run. The points replay four goroutines wide and must
+// still come out in (policy, budget) order.
 func TestFrontier(t *testing.T) {
 	tenants := sampleTenants(t, 77, 120)
+	policies := []string{"lru", "benefit", "oracle"}
 	budgets := []uint64{2 << 20, 8 << 20}
 	p := budget.Params{Seed: 3, Duration: 20 * time.Second, Process: loadgen.Poisson}
-	points, err := budget.Frontier(context.Background(), tenants,
-		[]string{"lru", "benefit", "oracle"}, budgets, p)
+	points, err := budget.Frontier(context.Background(), tenants, policies, budgets, p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 6 {
 		t.Fatalf("got %d frontier points, want 6", len(points))
+	}
+	for i, pt := range points {
+		if pol, b := policies[i/len(budgets)], budgets[i%len(budgets)]; pt.Policy != pol || pt.BudgetBytes != b {
+			t.Errorf("point %d is %s @ %d bytes, want %s @ %d bytes", i, pt.Policy, pt.BudgetBytes, pol, b)
+		}
 	}
 	base := p
 	base.Policy = budget.NewNone()
@@ -186,8 +194,19 @@ func TestFrontierCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := budget.Frontier(ctx, tenants, []string{"lru"}, []uint64{1 << 20},
-		budget.Params{Seed: 3, Duration: 10 * time.Second}); err == nil {
+		budget.Params{Seed: 3, Duration: 10 * time.Second}, 2); err == nil {
 		t.Fatal("cancelled frontier sweep returned no error")
+	}
+}
+
+// TestFrontierUnknownPolicy checks that a point failing mid-sweep fails the
+// whole sweep when points run in parallel.
+func TestFrontierUnknownPolicy(t *testing.T) {
+	tenants := sampleTenants(t, 77, 50)
+	_, err := budget.Frontier(context.Background(), tenants, []string{"lru", "nope", "topk"},
+		[]uint64{1 << 20, 2 << 20}, budget.Params{Seed: 3, Duration: 10 * time.Second}, 4)
+	if err == nil || !strings.Contains(err.Error(), `unknown policy "nope"`) {
+		t.Fatalf("frontier with an unknown policy: err %v, want the unknown-policy error", err)
 	}
 }
 
@@ -383,7 +402,7 @@ func BenchmarkFrontier(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := budget.Frontier(context.Background(), tenants, policies, budgets, p); err != nil {
+		if _, err := budget.Frontier(context.Background(), tenants, policies, budgets, p, runtime.GOMAXPROCS(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

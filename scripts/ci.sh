@@ -63,7 +63,7 @@ go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budg
 # pass keeps the hot-path refactor visible on its own.
 go test -race -run 'TestBatchedInvocationAllocs|TestScratchHandoff|TestProperties/batch-equivalence' \
   ./internal/engine ./internal/check/props
-go test -race -run 'TestScheduler' ./internal/experiments
+go test -race -run 'TestScheduler|TestAblCodecHonorsMaxCyclesAndChecks' ./internal/experiments
 
 # Mutation smoke: break every invariant on purpose and prove the checker
 # fires, then run the metamorphic properties (the -race sweep above already
@@ -109,9 +109,10 @@ go test -race -run 'TestServerIntegration|TestBatcher|TestInstrumentsConcurrentS
 # — a small sampled population swept under two policies, exported as a
 # versioned document, byte-identical across two runs (the fleet contract:
 # same seed, same bytes). The named -race pass keeps the fleet packages'
-# concurrency story (parallel-independent sampling) visible on its own.
+# concurrency story (parallel-independent sampling, frontier points
+# replayed Parallel-wide) visible on its own.
 go build -o "$smoke/ignite-fleet" ./cmd/ignite-fleet
-go test -race -run 'TestSamplerDeterminism|TestMarketDeterminism|TestFleetFrontierParallelIndependence' \
+go test -race -run 'TestSamplerDeterminism|TestMarketDeterminism|TestFrontier|TestFleetFrontierParallelIndependence' \
   ./internal/fleet/... ./internal/experiments
 (
   cd "$smoke"
@@ -131,9 +132,13 @@ go test -race -run 'TestSamplerDeterminism|TestMarketDeterminism|TestFleetFronti
 # and a warm re-run over the sealed store (which must compute nothing
 # remotely). All three documents must be byte-identical modulo the
 # generation timestamp; -parallel and -target-instr are held constant
-# because both are part of the cell-cache manifest. The named -race pass
-# keeps the coordinator's work-stealing and failover paths honest.
+# because both are part of the cell-cache manifest. The ablation leg runs
+# abl-throttle (whose cells persist and ship like figure cells) and
+# abl-codec (recorder runs, always local) the same three ways. The -race
+# passes keep the coordinator's work-stealing and failover paths and the
+# ablations' store path honest.
 go test -race ./internal/dist
+go test -race -run 'TestAblationsResumeFromStore|TestAblationsLeaveSharedCacheStats' ./internal/experiments
 (
   cd "$smoke"
   ./ignite-bench \
@@ -152,6 +157,20 @@ go test -race ./internal/dist
        <(grep -v '"generated"' dist-cold/fig1.json)
   diff <(grep -v '"generated"' dist-local/fig1.json) \
        <(grep -v '"generated"' dist-warm/fig1.json)
+  abl="-exp abl-throttle,abl-codec -workloads Fib-G -target-instr 100000 -parallel 2"
+  ./ignite-bench $abl -out abl-local >/dev/null
+  ./ignite-bench $abl -workers 2 -store ablstore -out abl-cold >/dev/null 2>abl-cold.log
+  grep -q 'dist: 6 task(s) completed remotely' abl-cold.log
+  grep -q 'store: sealed 6 record(s)' abl-cold.log
+  ./ignite-bench $abl -workers 2 -store ablstore -out abl-warm >/dev/null 2>abl-warm.log
+  grep -q 'dist: 0 task(s) completed remotely' abl-warm.log
+  grep -q 'store: 6 hit(s)' abl-warm.log
+  for exp in abl-throttle abl-codec; do
+    for leg in abl-cold abl-warm; do
+      diff <(grep -v '"generated"' "abl-local/$exp.json") \
+           <(grep -v '"generated"' "$leg/$exp.json")
+    done
+  done
 )
 
 # Fuzz the dist wire decoders briefly (seeds in internal/dist/testdata/fuzz).
