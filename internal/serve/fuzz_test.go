@@ -1,0 +1,32 @@
+package serve
+
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+)
+
+// FuzzParseInvokeRequest: ParseInvokeRequest, the daemon's decoder of
+// untrusted request bodies, never panics, and a request it accepts
+// marshals and re-parses to an equal value — the cell the daemon resolves
+// is the cell the client wrote. Seeds live in
+// testdata/fuzz/FuzzParseInvokeRequest.
+func FuzzParseInvokeRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, env := ParseInvokeRequest(body)
+		if env != nil {
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not marshal: %v", err)
+		}
+		back, env := ParseInvokeRequest(again)
+		if env != nil {
+			t.Fatalf("re-parse of an accepted request rejected: %v", env)
+		}
+		if !reflect.DeepEqual(req, back) {
+			t.Fatalf("round trip changed the request:\n%+v\n%+v", req, back)
+		}
+	})
+}

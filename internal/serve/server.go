@@ -371,6 +371,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptimeSec": time.Since(s.start).Seconds(),
 		"cells":     cells,
 		"cellHits":  hits,
+		"programs":  s.cache.Programs(),
 	})
 }
 

@@ -53,8 +53,9 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 # Bench smoke: every benchmark must still run (one iteration each) — a
 # benchmark that panics or no longer compiles is a broken promise to anyone
 # comparing against the committed BENCH_<n>.json trajectory. The
-# internal/fleet/budget package holds the budget market's BenchmarkFrontier.
-go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget
+# internal/fleet/budget package holds the budget market's BenchmarkFrontier,
+# internal/cfg the program generator's BenchmarkGenerate.
+go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg
 
 # Batching path under the race detector, by name: the batched invocation
 # entry point (engine.RunInvocations + the lukewarm protocol riding it) and
@@ -80,11 +81,12 @@ IGNITE_FAULTS=smoke go test ./internal/experiments -run Chaos
 
 # Serving smoke: boot the daemon on an ephemeral-ish port with tiny cells,
 # drive one low-RPS ignite-load burst (strict: any non-2xx fails the build),
-# then SIGTERM the daemon and require a clean drain (exit 0). The serve race
-# pass by name keeps the batcher/scrape path visible on its own.
+# then require that the idle daemon holds no program, SIGTERM it and require
+# a clean drain (exit 0). The serve race pass by name keeps the batcher,
+# program-release and scrape paths visible on their own.
 go build -o "$smoke/ignite-serve" ./cmd/ignite-serve
 go build -o "$smoke/ignite-load" ./cmd/ignite-load
-go test -race -run 'TestServerIntegration|TestBatcher|TestInstrumentsConcurrentScrape' \
+go test -race -run 'TestServerIntegration|TestServerReleasesIdlePrograms|TestBatcher|TestInstrumentsConcurrentScrape' \
   ./internal/serve ./internal/obs
 (
   cd "$smoke"
@@ -100,6 +102,7 @@ go test -race -run 'TestServerIntegration|TestBatcher|TestInstrumentsConcurrentS
   test -s load-smoke.json
   grep -q '"kind": "ignite.load-report"' load-smoke.json
   grep -q '"errors": 0,' load-smoke.json
+  curl -sf "http://127.0.0.1:$port/healthz" | grep -q '"programs":0'
   kill -TERM "$serve_pid"
   wait "$serve_pid"   # non-zero (unclean drain) fails the build via set -e
   grep -q 'drained' serve.log
@@ -179,6 +182,9 @@ go test -race -run 'TestAblationsResumeFromStore|TestAblationsLeaveSharedCacheSt
 for target in FuzzParseTaskRequest FuzzTaskResponse; do
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 200x ./internal/dist
 done
+# The same for the serving daemon's request decoder (seeds in
+# internal/serve/testdata/fuzz).
+go test -run '^$' -fuzz '^FuzzParseInvokeRequest$' -fuzztime 10s -fuzzminimizetime 200x ./internal/serve
 
 # Self-healing smoke: the same sweep on a supervised fleet with a worker
 # SIGKILLed mid-run. The supervisor must resurrect the victim on its old
@@ -234,4 +240,4 @@ go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
   test "$root_cold" = "$root_warm"
 )
 
-echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, dist fuzz, self-healing smoke)"
+echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, wire fuzz, self-healing smoke)"
