@@ -118,6 +118,36 @@ func (lw *lowerer) deferTarget(blk BlockID) {
 	lw.pending = append(lw.pending, blk)
 }
 
+// blockCount returns the number of blocks n.lower appends, so Generate can
+// allocate the block table once. It mirrors the lower methods below: a
+// change to the blocks one of them appends must change its case here.
+func blockCount(n Node) int {
+	switch n := n.(type) {
+	case *Seq:
+		c := 0
+		for _, m := range n.Nodes {
+			c += blockCount(m)
+		}
+		return c
+	case *If:
+		c := 1 + blockCount(n.Then)
+		if n.Else != nil {
+			c += 1 + blockCount(n.Else) // the jump over the else part
+		}
+		return c
+	case *Loop:
+		return blockCount(n.Body) + 1 // + the latch
+	case *Switch:
+		c := max(len(n.Cases), 1) // the dispatch block + every case's exit jump but the last
+		for _, cs := range n.Cases {
+			c += blockCount(cs)
+		}
+		return c
+	default: // *Straight, *Call, *IndirectCall
+		return 1
+	}
+}
+
 func (s *Straight) lower(lw *lowerer) {
 	n := s.N
 	if n < 1 {
