@@ -5,6 +5,7 @@ import (
 
 	"ignite/internal/cfg"
 	"ignite/internal/fleet/population"
+	"ignite/internal/lukewarm"
 	"ignite/internal/workload"
 )
 
@@ -44,6 +45,46 @@ func BenchmarkGenerate(b *testing.B) {
 				}
 				sinkProgram = p
 			}
+		})
+	}
+}
+
+// BenchmarkWalk walks the Table-1 Auth-G and AES-P programs at their Table-1
+// budgets, over the six invocation seeds the lukewarm protocol walks, reusing
+// one WalkScratch: the committed-trace walk every cold cell pays. Minstr/s is
+// the walker's throughput over all six walks.
+func BenchmarkWalk(b *testing.B) {
+	for _, name := range []string{"Auth-G", "AES-P"} {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, _, err := spec.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			var scratch cfg.WalkScratch
+			emit := func(cfg.Step) bool { return true }
+			walk := func(seed uint64) uint64 {
+				res, err := prog.Walk(0, cfg.WalkOptions{
+					Seed: seed, MaxInstr: spec.MaxInstr(), Scratch: &scratch,
+				}, emit)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res.Instrs
+			}
+			walk(lukewarm.DefaultSeedBase) // size the scratch outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				for s := uint64(0); s < 6; s++ {
+					instrs += walk(lukewarm.DefaultSeedBase + s)
+				}
+			}
+			b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
 		})
 	}
 }
