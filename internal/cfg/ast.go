@@ -2,16 +2,17 @@ package cfg
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 )
 
 // Node is a structured control-flow construct. Functions are built as trees
-// of nodes and lowered to address-mapped basic blocks; the trace walker
-// later executes the same tree, so every node records the blocks it lowered
-// to.
+// of nodes and lowered, once, to address-mapped basic blocks and to the
+// pointer-free walk code the trace walker runs; the program keeps no node.
+// Every node records the blocks it lowered to, for tests.
 type Node interface {
-	// lower appends this node's blocks to the lowerer and records their
-	// IDs in the node for the walker.
+	// lower appends this node's blocks and walk code to the lowerer's
+	// program and records the block IDs in the node.
 	lower(lw *lowerer)
 }
 
@@ -93,16 +94,16 @@ type Switch struct {
 	caseEntries []BlockID
 }
 
-// lowerer builds a function's blocks inside a program.
+// lowerer builds a function's blocks and walk code inside a program.
 type lowerer struct {
 	p       *Program
-	fn      int
+	fn      int32
 	pending []BlockID // blocks whose Target resolves to the next appended block
 }
 
 // append adds a block, resolving pending forward targets to it.
 func (lw *lowerer) append(b Block) BlockID {
-	id := BlockID(len(lw.p.Blocks))
+	id := BlockID(narrow(len(lw.p.Blocks)))
 	b.ID = id
 	b.Func = lw.fn
 	for _, pid := range lw.pending {
@@ -118,33 +119,103 @@ func (lw *lowerer) deferTarget(blk BlockID) {
 	lw.pending = append(lw.pending, blk)
 }
 
-// blockCount returns the number of blocks n.lower appends, so Generate can
-// allocate the block table once. It mirrors the lower methods below: a
-// change to the blocks one of them appends must change its case here.
-func blockCount(n Node) int {
+// narrow converts a count to int32 for a program table, panicking rather
+// than silently truncating one that does not fit.
+func narrow(n int) int32 {
+	if n < math.MinInt32 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("cfg: count %d overflows int32", n))
+	}
+	return int32(n)
+}
+
+// emit appends a walk op and returns its index.
+func (lw *lowerer) emit(o op) int32 {
+	lw.p.code = append(lw.p.code, o)
+	return narrow(len(lw.p.code) - 1)
+}
+
+// ops returns the number of ops emitted since (and including) op at.
+func (lw *lowerer) ops(at int32) int32 { return narrow(len(lw.p.code)) - at }
+
+// float appends a float operand and returns its index.
+func (lw *lowerer) float(v float64) int32 {
+	lw.p.floats = append(lw.p.floats, v)
+	return narrow(len(lw.p.floats) - 1)
+}
+
+// weights appends the weights of an n-way choice and returns their index,
+// or -1 (a uniform draw) when there are not exactly n of them.
+func (lw *lowerer) weights(ws []float64, n int) int32 {
+	if len(ws) != n {
+		return -1
+	}
+	lw.p.floats = append(lw.p.floats, ws...)
+	return narrow(len(lw.p.floats)) - int32(n)
+}
+
+// reserve appends n zero int operands and n NoBlock indirect targets, and
+// returns both offsets.
+func (lw *lowerer) reserve(n int) (ints, targets int32) {
+	for range n {
+		lw.p.ints = append(lw.p.ints, 0)
+		lw.p.targets = append(lw.p.targets, NoBlock)
+	}
+	return narrow(len(lw.p.ints)) - int32(n), narrow(len(lw.p.targets)) - int32(n)
+}
+
+// tableSizes counts the entries lowering appends to each program table.
+type tableSizes struct{ blocks, ops, floats, ints, targets int }
+
+// measure adds what n.lower appends, so Generate can allocate every table
+// once. It mirrors the lower methods below: a change to what one of them
+// appends must change its case here.
+func (sz *tableSizes) measure(n Node) {
 	switch n := n.(type) {
 	case *Seq:
-		c := 0
 		for _, m := range n.Nodes {
-			c += blockCount(m)
+			sz.measure(m)
 		}
-		return c
 	case *If:
-		c := 1 + blockCount(n.Then)
+		sz.blocks++
+		sz.ops++
+		if n.Period < 2 {
+			sz.floats++ // ThenBias
+		}
+		sz.measure(n.Then)
 		if n.Else != nil {
-			c += 1 + blockCount(n.Else) // the jump over the else part
+			sz.blocks++ // the jump over the else part
+			sz.ops++
+			sz.measure(n.Else)
 		}
-		return c
 	case *Loop:
-		return blockCount(n.Body) + 1 // + the latch
+		sz.blocks++ // the latch
+		sz.ops++
+		sz.floats++ // MeanTrips
+		sz.measure(n.Body)
 	case *Switch:
-		c := max(len(n.Cases), 1) // the dispatch block + every case's exit jump but the last
-		for _, cs := range n.Cases {
-			c += blockCount(cs)
+		k := len(n.Cases)
+		sz.blocks += max(k, 1) // the dispatch block + every case's exit jump but the last
+		sz.ops += max(k, 1)
+		sz.ints += k // case lengths
+		sz.targets += k
+		if len(n.Weights) == k {
+			sz.floats += k
 		}
-		return c
-	default: // *Straight, *Call, *IndirectCall
-		return 1
+		for _, cs := range n.Cases {
+			sz.measure(cs)
+		}
+	case *IndirectCall:
+		k := len(n.Callees)
+		sz.blocks++
+		sz.ops++
+		sz.ints += k // callees
+		sz.targets += k
+		if len(n.Weights) == k {
+			sz.floats += k
+		}
+	default: // *Straight, *Call
+		sz.blocks++
+		sz.ops++
 	}
 }
 
@@ -153,7 +224,8 @@ func (s *Straight) lower(lw *lowerer) {
 	if n < 1 {
 		n = 1
 	}
-	s.blk = lw.append(Block{NumInstr: n, Kind: BranchNone, Target: NoBlock})
+	s.blk = lw.append(Block{NumInstr: narrow(n), Kind: BranchNone, Target: NoBlock})
+	lw.emit(op{kind: opStraight, blk: s.blk, size: 1})
 }
 
 func (s *Seq) lower(lw *lowerer) {
@@ -171,24 +243,33 @@ func (f *If) lower(lw *lowerer) {
 	if f.Period >= 2 {
 		bias = 1 / float64(f.Period)
 	}
-	f.condBlk = lw.append(Block{NumInstr: n, Kind: BranchCond, Target: NoBlock, Bias: bias})
+	f.condBlk = lw.append(Block{NumInstr: narrow(n), Kind: BranchCond, Target: NoBlock, Bias: bias})
 	cond := f.condBlk
+	o := op{kind: opIf, blk: cond}
+	if f.Period >= 2 {
+		o.kind, o.arg = opIfPeriodic, narrow(f.Period)
+	} else {
+		o.arg = lw.float(f.ThenBias)
+	}
+	at := lw.emit(o)
 	f.Then.lower(lw)
 	if f.Else != nil {
+		// The then part ends with the jump over the else part.
 		f.jmpBlk = lw.append(Block{NumInstr: 1, Kind: BranchUncond, Target: NoBlock})
-		// The else entry is the next appended block.
+		lw.emit(op{kind: opJump, blk: f.jmpBlk, size: 1})
+		lw.p.code[at].n = lw.ops(at) - 1
+		// The cond's taken path resolves to the else entry, the next
+		// appended block; the jump over the else part resolves to
+		// whatever follows the whole construct.
 		lw.deferTarget(cond)
 		f.Else.lower(lw)
-		// Resolve cond target now that else entry exists: deferTarget
-		// resolved it at the first block of Else. The jump over the
-		// else part resolves to whatever follows the whole construct.
 		lw.deferTarget(f.jmpBlk)
-		// Remove duplicate pending entry for cond if Else was empty in
-		// blocks; cannot happen because every node appends >=1 block.
 	} else {
 		f.jmpBlk = NoBlock
+		lw.p.code[at].n = lw.ops(at) - 1
 		lw.deferTarget(cond)
 	}
+	lw.p.code[at].size = lw.ops(at)
 }
 
 func (l *Loop) lower(lw *lowerer) {
@@ -197,6 +278,11 @@ func (l *Loop) lower(lw *lowerer) {
 		n = 1
 	}
 	l.bodyEntry = BlockID(len(lw.p.Blocks))
+	kind := opLoop
+	if l.Fixed {
+		kind = opLoopFixed
+	}
+	at := lw.emit(op{kind: kind, arg: lw.float(l.MeanTrips)})
 	// Pending targets from the preceding construct resolve to the loop
 	// body entry via the next append inside Body.
 	l.Body.lower(lw)
@@ -205,7 +291,9 @@ func (l *Loop) lower(lw *lowerer) {
 		trips = 1
 	}
 	bias := (trips - 1) / trips
-	l.latchBlk = lw.append(Block{NumInstr: n, Kind: BranchCond, Target: l.bodyEntry, Bias: bias})
+	l.latchBlk = lw.append(Block{NumInstr: narrow(n), Kind: BranchCond, Target: l.bodyEntry, Bias: bias})
+	lw.p.code[at].blk = l.latchBlk
+	lw.p.code[at].size = lw.ops(at)
 }
 
 func (c *Call) lower(lw *lowerer) {
@@ -213,11 +301,10 @@ func (c *Call) lower(lw *lowerer) {
 	if n < 0 {
 		n = 0
 	}
-	// Target is patched to the callee entry in Program finalization,
-	// because the callee may not be lowered yet. Encode the callee
-	// function index in Target temporarily via the calls fixup list.
-	c.blk = lw.append(Block{NumInstr: n + 1, Kind: BranchCall, Target: NoBlock})
-	lw.p.callFixups = append(lw.p.callFixups, callFixup{blk: c.blk, callee: c.Callee})
+	// Target is patched to the callee entry at Finalize, because the
+	// callee may not be lowered yet.
+	c.blk = lw.append(Block{NumInstr: narrow(n + 1), Kind: BranchCall, Target: NoBlock})
+	lw.emit(op{kind: opCall, blk: c.blk, arg: narrow(c.Callee), size: 1})
 }
 
 func (c *IndirectCall) lower(lw *lowerer) {
@@ -225,8 +312,15 @@ func (c *IndirectCall) lower(lw *lowerer) {
 	if n < 0 {
 		n = 0
 	}
-	c.blk = lw.append(Block{NumInstr: n + 1, Kind: BranchIndirectCall, Target: NoBlock})
-	lw.p.icallFixups = append(lw.p.icallFixups, icallFixup{blk: c.blk, callees: c.Callees})
+	k := len(c.Callees)
+	ints, tgts := lw.reserve(k)
+	for i, callee := range c.Callees {
+		lw.p.ints[ints+int32(i)] = narrow(callee)
+	}
+	// The target slots are filled with the callee entries at Finalize.
+	c.blk = lw.append(Block{NumInstr: narrow(n + 1), Kind: BranchIndirectCall, Target: NoBlock,
+		tgtOff: tgts, tgtN: narrow(k)})
+	lw.emit(op{kind: opIndirectCall, blk: c.blk, n: narrow(k), arg: ints, w: lw.weights(c.Weights, k), size: 1})
 }
 
 func (s *Switch) lower(lw *lowerer) {
@@ -234,16 +328,25 @@ func (s *Switch) lower(lw *lowerer) {
 	if n < 1 {
 		n = 1
 	}
-	s.dispatchBlk = lw.append(Block{NumInstr: n, Kind: BranchIndirectJump, Target: NoBlock})
+	k := len(s.Cases)
+	lens, tgts := lw.reserve(k)
+	s.dispatchBlk = lw.append(Block{NumInstr: narrow(n), Kind: BranchIndirectJump, Target: NoBlock,
+		tgtOff: tgts, tgtN: narrow(k)})
+	at := lw.emit(op{kind: opSwitch, blk: s.dispatchBlk, n: narrow(k), arg: lens, w: lw.weights(s.Weights, k)})
 	s.caseEntries = s.caseEntries[:0]
 	s.caseJmps = s.caseJmps[:0]
 	for i, cs := range s.Cases {
-		s.caseEntries = append(s.caseEntries, BlockID(len(lw.p.Blocks)))
+		entry := BlockID(len(lw.p.Blocks))
+		s.caseEntries = append(s.caseEntries, entry)
+		lw.p.targets[tgts+int32(i)] = entry
+		part := narrow(len(lw.p.code))
 		cs.lower(lw)
-		if i < len(s.Cases)-1 {
+		if i < k-1 {
 			jmp := lw.append(Block{NumInstr: 1, Kind: BranchUncond, Target: NoBlock})
 			s.caseJmps = append(s.caseJmps, jmp)
+			lw.emit(op{kind: opJump, blk: jmp, size: 1})
 		}
+		lw.p.ints[lens+int32(i)] = lw.ops(part)
 	}
 	// Every case-exit jump targets the block following the whole switch;
 	// registering them only after all cases are lowered keeps them from
@@ -251,21 +354,10 @@ func (s *Switch) lower(lw *lowerer) {
 	for _, jmp := range s.caseJmps {
 		lw.deferTarget(jmp)
 	}
-	d := &lw.p.Blocks[s.dispatchBlk]
-	d.IndirectTargets = append([]BlockID(nil), s.caseEntries...)
-	if len(s.caseEntries) > 0 {
-		d.Target = s.caseEntries[0]
+	if k > 0 {
+		lw.p.Blocks[s.dispatchBlk].Target = s.caseEntries[0]
 	}
-}
-
-type callFixup struct {
-	blk    BlockID
-	callee int
-}
-
-type icallFixup struct {
-	blk     BlockID
-	callees []int
+	lw.p.code[at].size = lw.ops(at)
 }
 
 // AddFunction lowers body as a new function and returns its index. A return
@@ -275,24 +367,21 @@ func (p *Program) AddFunction(name string, body Node, retN int) int {
 		panic("cfg: AddFunction after Finalize")
 	}
 	idx := len(p.Funcs)
-	lw := &lowerer{p: p, fn: idx}
+	lw := &lowerer{p: p, fn: narrow(idx)}
 	start := BlockID(len(p.Blocks))
+	code := narrow(len(p.code))
 	body.lower(lw)
 	if retN < 1 {
 		retN = 1
 	}
-	ret := lw.append(Block{NumInstr: retN, Kind: BranchReturn, Target: NoBlock})
-	blocks := make([]BlockID, 0, int(ret-start)+1)
-	for id := start; id <= ret; id++ {
-		blocks = append(blocks, id)
-	}
+	ret := lw.append(Block{NumInstr: narrow(retN), Kind: BranchReturn, Target: NoBlock})
 	p.Funcs = append(p.Funcs, Function{
-		Index:  idx,
-		Name:   name,
-		Entry:  start,
-		Ret:    ret,
-		Body:   body,
-		blocks: blocks,
+		Index:   idx,
+		Name:    name,
+		Entry:   start,
+		Ret:     ret,
+		code:    code,
+		codeEnd: narrow(len(p.code)),
 	})
 	return idx
 }
@@ -304,29 +393,36 @@ func (p *Program) Finalize() error {
 	if p.finalized {
 		return fmt.Errorf("cfg: already finalized")
 	}
-	// Resolve direct call targets.
-	for _, fx := range p.callFixups {
-		if fx.callee < 0 || fx.callee >= len(p.Funcs) {
-			return fmt.Errorf("cfg: call in block %d to unknown function %d", fx.blk, fx.callee)
+	// Resolve call targets from the walk code: a direct call's Target and
+	// an indirect call's target slots become its callees' entries.
+	entry := func(what string, blk BlockID, callee int32) (BlockID, error) {
+		if callee < 0 || int(callee) >= len(p.Funcs) {
+			return NoBlock, fmt.Errorf("cfg: %s in block %d to unknown function %d", what, blk, callee)
 		}
-		p.Blocks[fx.blk].Target = p.Funcs[fx.callee].Entry
+		return p.Funcs[callee].Entry, nil
 	}
-	for _, fx := range p.icallFixups {
-		tgts := make([]BlockID, 0, len(fx.callees))
-		for _, c := range fx.callees {
-			if c < 0 || c >= len(p.Funcs) {
-				return fmt.Errorf("cfg: indirect call in block %d to unknown function %d", fx.blk, c)
+	for i := range p.code {
+		o := &p.code[i]
+		b := &p.Blocks[o.blk]
+		var err error
+		switch o.kind {
+		case opCall:
+			b.Target, err = entry("call", o.blk, o.arg)
+		case opIndirectCall:
+			tgts := p.IndirectTargets(b)
+			for j, callee := range p.ints[o.arg : o.arg+o.n] {
+				if tgts[j], err = entry("indirect call", o.blk, callee); err != nil {
+					break
+				}
 			}
-			tgts = append(tgts, p.Funcs[c].Entry)
+			if len(tgts) > 0 {
+				b.Target = tgts[0]
+			}
 		}
-		b := &p.Blocks[fx.blk]
-		b.IndirectTargets = tgts
-		if len(tgts) > 0 {
-			b.Target = tgts[0]
+		if err != nil {
+			return err
 		}
 	}
-	p.callFixups = nil
-	p.icallFixups = nil
 
 	// Assign addresses: functions contiguous, 64-byte aligned entries.
 	// With a layout seed, functions are placed in shuffled order (link
@@ -344,7 +440,7 @@ func (p *Program) Finalize() error {
 		if rem := addr % CacheLineBytes; rem != 0 {
 			addr += CacheLineBytes - rem
 		}
-		for _, id := range p.Funcs[fi].blocks {
+		for id := p.Funcs[fi].Entry; id <= p.Funcs[fi].Ret; id++ {
 			b := &p.Blocks[id]
 			b.Addr = addr
 			addr += b.Bytes()
@@ -354,25 +450,18 @@ func (p *Program) Finalize() error {
 	// Fall-through successors: the next block within the same function,
 	// except for blocks that never fall through.
 	for fi := range p.Funcs {
-		blocks := p.Funcs[fi].blocks
-		for i, id := range blocks {
+		f := &p.Funcs[fi]
+		for id := f.Entry; id <= f.Ret; id++ {
 			b := &p.Blocks[id]
+			b.Fall = NoBlock
 			switch b.Kind {
 			case BranchUncond, BranchReturn, BranchIndirectJump:
-				b.Fall = NoBlock
 			default:
-				if i+1 < len(blocks) {
-					b.Fall = blocks[i+1]
-				} else {
-					b.Fall = NoBlock
+				if id < f.Ret {
+					b.Fall = id + 1
 				}
 			}
 		}
-	}
-	// Build the address-ordered block index.
-	p.addrOrder = make([]BlockID, 0, len(p.Blocks))
-	for _, fi := range order {
-		p.addrOrder = append(p.addrOrder, p.Funcs[fi].blocks...)
 	}
 	p.finalized = true
 	return nil

@@ -34,11 +34,11 @@ func TestSwitchLowering(t *testing.T) {
 	if d.Kind != BranchIndirectJump {
 		t.Fatalf("dispatch kind = %v", d.Kind)
 	}
-	if len(d.IndirectTargets) != 3 {
-		t.Fatalf("dispatch has %d targets", len(d.IndirectTargets))
+	if len(p.IndirectTargets(d)) != 3 {
+		t.Fatalf("dispatch has %d targets", len(p.IndirectTargets(d)))
 	}
 	// Case entries must match the recorded indirect targets.
-	for i, tgt := range d.IndirectTargets {
+	for i, tgt := range p.IndirectTargets(d) {
 		if tgt != sw.caseEntries[i] {
 			t.Errorf("target %d = %d, want %d", i, tgt, sw.caseEntries[i])
 		}
@@ -64,10 +64,10 @@ func TestIndirectCallLowering(t *testing.T) {
 	if b.Kind != BranchIndirectCall {
 		t.Fatalf("icall kind = %v", b.Kind)
 	}
-	if len(b.IndirectTargets) != 2 {
-		t.Fatalf("icall has %d targets", len(b.IndirectTargets))
+	if len(p.IndirectTargets(b)) != 2 {
+		t.Fatalf("icall has %d targets", len(p.IndirectTargets(b)))
 	}
-	if b.IndirectTargets[0] != p.Funcs[1].Entry || b.IndirectTargets[1] != p.Funcs[2].Entry {
+	if p.IndirectTargets(b)[0] != p.Funcs[1].Entry || p.IndirectTargets(b)[1] != p.Funcs[2].Entry {
 		t.Error("icall targets are not the callee entries")
 	}
 }
@@ -80,13 +80,13 @@ func TestWalkSwitchConsistency(t *testing.T) {
 		var prev Step
 		havePrev := false
 		_, err := p.Walk(0, WalkOptions{Seed: seed}, func(s Step) bool {
-			if havePrev && prev.Taken {
-				pb := p.Block(prev.Block)
+			if havePrev && prev.Taken() {
+				pb := p.Block(prev.Block())
 				if pb.ID == sw.dispatchBlk {
-					caseCounts[s.Block]++
+					caseCounts[s.Block()]++
 				}
 				if pb.ID == ic.blk {
-					calleeCounts[s.Block]++
+					calleeCounts[s.Block()]++
 				}
 			}
 			prev, havePrev = s, true
@@ -166,13 +166,6 @@ func TestShuffledLayoutIsPermutation(t *testing.T) {
 	}
 	if len(seen) != 6 {
 		t.Error("shuffled layout lost functions")
-	}
-	// BlockAt still works on the shuffled program.
-	for i := range b.Blocks {
-		blk := &b.Blocks[i]
-		if got := b.BlockAt(blk.Addr); got == nil || got.ID != blk.ID {
-			t.Fatalf("BlockAt broken under shuffle for block %d", blk.ID)
-		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package cfg defines the synthetic program representation used throughout
 // the simulator: address-mapped basic blocks organized into functions, the
-// structured AST from which functions are lowered, and a random program
-// generator calibrated to serverless-function working sets.
+// structured AST from which functions are lowered into blocks and walk code,
+// and a random program generator calibrated to serverless-function working
+// sets.
 //
 // The paper's workloads are real Python/NodeJS/Go serverless functions run
 // under gem5. We have no binaries, so we substitute synthetic programs whose
@@ -12,8 +13,10 @@
 package cfg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // InstrBytes is the fixed instruction width of the synthetic ISA. The paper
@@ -93,13 +96,15 @@ func (k BranchKind) IsIndirect() bool {
 
 // Block is a basic block: a run of straight-line instructions ended either
 // by a control-flow instruction (Kind != BranchNone) or by falling through
-// to the next block in address order.
+// to the next block in address order. It holds no pointer, so the garbage
+// collector never scans a program's block table.
 type Block struct {
+	Addr uint64 // address of the first instruction
+	// Bias is the probability the terminator is taken; meaningful only
+	// for BranchCond.
+	Bias     float64
 	ID       BlockID
-	Addr     uint64 // address of the first instruction
-	NumInstr int    // instruction count, including the terminator if any
-
-	Kind BranchKind
+	NumInstr int32 // instruction count, including the terminator if any
 	// Target is the taken destination for direct branches (cond, uncond,
 	// call) and the statically most likely destination for indirect
 	// branches (used only as layout metadata; dynamic targets come from
@@ -109,15 +114,12 @@ type Block struct {
 	// NoBlock for the last block of a function (the return block) and
 	// for unconditional transfers.
 	Fall BlockID
-	// Bias is the probability the terminator is taken; meaningful only
-	// for BranchCond.
-	Bias float64
-	// IndirectTargets enumerates the possible dynamic destinations of an
-	// indirect jump/call.
-	IndirectTargets []BlockID
-
 	// Func is the index of the function that owns this block.
-	Func int
+	Func int32
+	// tgtOff and tgtN locate the block's indirect targets in the
+	// program's shared target table (see Program.IndirectTargets).
+	tgtOff, tgtN int32
+	Kind         BranchKind
 }
 
 // Bytes returns the code size of the block in bytes.
@@ -148,28 +150,29 @@ func (b *Block) CanBeTaken() bool {
 	}
 }
 
-// Function is a lowered function: a contiguous range of blocks.
+// Function is a lowered function: the contiguous range of blocks
+// Entry..Ret, in address order, and the walk code of its body.
 type Function struct {
 	Index int
 	Name  string
 	Entry BlockID
 	Ret   BlockID // the single return block (last block of the function)
-	// Body is the structured form the function was lowered from; the
-	// trace walker executes it. Nil only for hand-built block graphs.
-	Body Node
 
-	blocks []BlockID // all blocks, in address order
+	code, codeEnd int32 // the body's walk code: Program.code[code:codeEnd]
 }
 
-// Blocks returns the function's blocks in address order.
-func (f *Function) Blocks() []BlockID { return f.blocks }
-
 // Program is a complete synthetic program: a set of functions lowered to
-// address-mapped basic blocks.
+// address-mapped basic blocks, plus the walk code the trace walker runs.
+// Every table is pointer-free.
 type Program struct {
 	Name   string
 	Blocks []Block
 	Funcs  []Function
+
+	targets []BlockID // indirect targets, see IndirectTargets
+	code    []op      // walk code, see walk.go
+	floats  []float64 // the walk code's float operands
+	ints    []int32   // the walk code's int operands
 
 	// BaseAddr is the address of the first instruction.
 	BaseAddr uint64
@@ -179,12 +182,7 @@ type Program struct {
 	// next-line prefetching across function boundaries.
 	LayoutSeed uint64
 
-	finalized   bool
-	callFixups  []callFixup
-	icallFixups []icallFixup
-	// addrOrder holds block IDs sorted by address (built at Finalize);
-	// with a shuffled layout, block IDs do not follow address order.
-	addrOrder []BlockID
+	finalized bool
 }
 
 // NewProgram creates an empty program with the conventional code base
@@ -196,6 +194,12 @@ func NewProgram(name string) *Program {
 // Block returns the block with the given ID. It panics on NoBlock; callers
 // must check first.
 func (p *Program) Block(id BlockID) *Block { return &p.Blocks[id] }
+
+// IndirectTargets returns the possible dynamic destinations of b's indirect
+// jump or call, in lowering order (empty for any other block).
+func (p *Program) IndirectTargets(b *Block) []BlockID {
+	return p.targets[b.tgtOff : b.tgtOff+b.tgtN : b.tgtOff+b.tgtN]
+}
 
 // NumFuncs returns the number of functions.
 func (p *Program) NumFuncs() int { return len(p.Funcs) }
@@ -274,7 +278,7 @@ func (p *Program) Validate() error {
 		if err := check(b.Fall, "fall"); err != nil {
 			return err
 		}
-		for _, t := range b.IndirectTargets {
+		for _, t := range p.IndirectTargets(b) {
 			if err := check(t, "indirect target"); err != nil {
 				return err
 			}
@@ -285,58 +289,42 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("cfg: block %d (%v) lacks a target", i, b.Kind)
 			}
 		case BranchIndirectJump, BranchIndirectCall:
-			if len(b.IndirectTargets) == 0 {
+			if b.tgtN == 0 {
 				return fmt.Errorf("cfg: block %d (%v) lacks indirect targets", i, b.Kind)
 			}
 		}
 	}
-	// Address-order invariants: no overlaps anywhere, contiguity within a
-	// function.
-	for i := 1; i < len(p.addrOrder); i++ {
-		prev := p.Block(p.addrOrder[i-1])
-		cur := p.Block(p.addrOrder[i])
-		if cur.Addr < prev.EndAddr() {
-			return fmt.Errorf("cfg: block %d addr %#x overlaps block %d", cur.ID, cur.Addr, prev.ID)
-		}
-	}
 	for fi := range p.Funcs {
 		f := &p.Funcs[fi]
-		if len(f.blocks) == 0 {
-			return fmt.Errorf("cfg: function %d has no blocks", fi)
+		if f.Entry < 0 || f.Ret < f.Entry || int(f.Ret) >= len(p.Blocks) {
+			return fmt.Errorf("cfg: function %d has bad block range %d..%d", fi, f.Entry, f.Ret)
 		}
-		if f.Entry != f.blocks[0] {
-			return fmt.Errorf("cfg: function %d entry %d is not its first block", fi, f.Entry)
-		}
-		last := p.Block(f.blocks[len(f.blocks)-1])
-		if last.Kind != BranchReturn {
+		if p.Block(f.Ret).Kind != BranchReturn {
 			return fmt.Errorf("cfg: function %d does not end in a return", fi)
 		}
-		if f.Ret != last.ID {
-			return fmt.Errorf("cfg: function %d Ret %d != last block %d", fi, f.Ret, last.ID)
-		}
-		for _, id := range f.blocks {
-			if p.Block(id).Func != fi {
+		for id := f.Entry; id <= f.Ret; id++ {
+			if p.Block(id).Func != int32(fi) {
 				return fmt.Errorf("cfg: block %d claims func %d, owned by %d", id, p.Block(id).Func, fi)
 			}
 		}
 	}
-	return nil
-}
-
-// BlockAt returns the block containing addr using binary search over the
-// address-ordered index, or nil if addr is outside the program.
-func (p *Program) BlockAt(addr uint64) *Block {
-	lo, hi := 0, len(p.addrOrder)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		b := p.Block(p.addrOrder[mid])
-		switch {
-		case addr < b.Addr:
-			hi = mid
-		case addr >= b.EndAddr():
-			lo = mid + 1
-		default:
-			return b
+	// No two blocks overlap: walking the functions in layout order, every
+	// block starts at or after the end of the one before it.
+	order := make([]*Function, len(p.Funcs))
+	for fi := range p.Funcs {
+		order[fi] = &p.Funcs[fi]
+	}
+	slices.SortFunc(order, func(a, b *Function) int {
+		return cmp.Compare(p.Block(a.Entry).Addr, p.Block(b.Entry).Addr)
+	})
+	var prev *Block
+	for _, f := range order {
+		for id := f.Entry; id <= f.Ret; id++ {
+			cur := p.Block(id)
+			if prev != nil && cur.Addr < prev.EndAddr() {
+				return fmt.Errorf("cfg: block %d addr %#x overlaps block %d", cur.ID, cur.Addr, prev.ID)
+			}
+			prev = cur
 		}
 	}
 	return nil

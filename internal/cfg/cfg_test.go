@@ -1,7 +1,9 @@
 package cfg
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // buildTiny constructs a small two-function program by hand:
@@ -28,6 +30,15 @@ func buildTiny(t *testing.T) *Program {
 	return p
 }
 
+// blocksOf lists f's blocks, Entry..Ret, in address order.
+func blocksOf(f *Function) []BlockID {
+	var ids []BlockID
+	for id := f.Entry; id <= f.Ret; id++ {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 func TestTinyProgramShape(t *testing.T) {
 	p := buildTiny(t)
 	if got := p.NumFuncs(); got != 2 {
@@ -36,7 +47,7 @@ func TestTinyProgramShape(t *testing.T) {
 	f0 := &p.Funcs[0]
 	// Blocks of fn0: straight, cond, then, jmp, else, call, loop body,
 	// latch, ret = 9 blocks.
-	if got := len(f0.Blocks()); got != 9 {
+	if got := f0.Ret - f0.Entry + 1; got != 9 {
 		t.Errorf("fn0 has %d blocks, want 9", got)
 	}
 	ret := p.Block(f0.Ret)
@@ -47,7 +58,7 @@ func TestTinyProgramShape(t *testing.T) {
 
 func TestLoweredIfWiring(t *testing.T) {
 	p := buildTiny(t)
-	blocks := p.Funcs[0].Blocks()
+	blocks := blocksOf(&p.Funcs[0])
 	cond := p.Block(blocks[1])
 	if cond.Kind != BranchCond {
 		t.Fatalf("block 1 kind = %v, want cond", cond.Kind)
@@ -75,7 +86,7 @@ func TestLoweredIfWiring(t *testing.T) {
 
 func TestLoweredCallAndLoopWiring(t *testing.T) {
 	p := buildTiny(t)
-	blocks := p.Funcs[0].Blocks()
+	blocks := blocksOf(&p.Funcs[0])
 	call := p.Block(blocks[5])
 	if call.Kind != BranchCall {
 		t.Fatalf("block 5 kind = %v, want call", call.Kind)
@@ -114,25 +125,6 @@ func TestAddressesMonotonicAndAligned(t *testing.T) {
 		if entry.Addr%CacheLineBytes != 0 {
 			t.Errorf("fn%d entry %#x not line-aligned", fi, entry.Addr)
 		}
-	}
-}
-
-func TestBlockAt(t *testing.T) {
-	p := buildTiny(t)
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		if got := p.BlockAt(b.Addr); got == nil || got.ID != b.ID {
-			t.Errorf("BlockAt(start of %d) = %v", b.ID, got)
-		}
-		if got := p.BlockAt(b.BranchPC()); got == nil || got.ID != b.ID {
-			t.Errorf("BlockAt(branch PC of %d) = %v", b.ID, got)
-		}
-	}
-	if got := p.BlockAt(p.BaseAddr - 4); got != nil {
-		t.Errorf("BlockAt(before program) = %v, want nil", got)
-	}
-	if got := p.BlockAt(p.EndAddr() + 1024); got != nil {
-		t.Errorf("BlockAt(after program) = %v, want nil", got)
 	}
 }
 
@@ -231,5 +223,52 @@ func TestCallToUnknownFunctionFails(t *testing.T) {
 	p.AddFunction("f", &Call{PreN: 1, Callee: 7}, 1)
 	if err := p.Finalize(); err == nil {
 		t.Error("Finalize accepted dangling call")
+	}
+}
+
+// TestTablesArePointerFree: the block table, the walk code and trace steps
+// hold no pointer, slice, map, string or interface, so the garbage collector
+// never scans them, and blocks and steps stay compact.
+func TestTablesArePointerFree(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if !pointerFree(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Array:
+			return pointerFree(typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			return false
+		default:
+			return true
+		}
+	}
+	for _, v := range []any{Block{}, Step(0), op{}} {
+		if typ := reflect.TypeOf(v); !pointerFree(typ) {
+			t.Errorf("%v holds a pointer, slice, map, string or interface", typ)
+		}
+	}
+	if n := unsafe.Sizeof(Block{}); n > 48 {
+		t.Errorf("Block is %d bytes, want at most 48", n)
+	}
+	if n := unsafe.Sizeof(Step(0)); n != 4 {
+		t.Errorf("Step is %d bytes, want 4", n)
+	}
+}
+
+func TestStepPacking(t *testing.T) {
+	for _, b := range []BlockID{0, 1, 12345, 1<<31 - 1} {
+		for _, taken := range []bool{false, true} {
+			s := NewStep(b, taken)
+			if s.Block() != b || s.Taken() != taken {
+				t.Errorf("NewStep(%d, %v) unpacks to (%d, %v)", b, taken, s.Block(), s.Taken())
+			}
+		}
 	}
 }

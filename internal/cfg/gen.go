@@ -150,11 +150,11 @@ func Generate(gp GenParams) (*Program, GenReport, error) {
 	g.assignCallTree()
 
 	// Generate every body first (each return-block length is drawn right
-	// after its body, as before), then lower them all into a block table
+	// after its body, as before), then lower them all into tables each
 	// allocated once at its exact length instead of grown by append.
 	bodies := make([]Node, g.numFuncs)
 	retNs := make([]int, g.numFuncs)
-	numBlocks := 0
+	var sz tableSizes
 	for i := range bodies {
 		body := g.genFunctionBody(i)
 		if i == 0 {
@@ -165,10 +165,15 @@ func Generate(gp GenParams) (*Program, GenReport, error) {
 			}
 		}
 		bodies[i], retNs[i] = body, g.run(1)
-		numBlocks += blockCount(body) + 1 // + the return block
+		sz.measure(body)
+		sz.blocks++ // the return block
 	}
-	g.p.Blocks = make([]Block, 0, numBlocks)
+	g.p.Blocks = make([]Block, 0, sz.blocks)
 	g.p.Funcs = make([]Function, 0, g.numFuncs)
+	g.p.code = make([]op, 0, sz.ops)
+	g.p.floats = make([]float64, 0, sz.floats)
+	g.p.ints = make([]int32, 0, sz.ints)
+	g.p.targets = make([]BlockID, 0, sz.targets)
 	for i, body := range bodies {
 		g.p.AddFunction(fmt.Sprintf("%s.fn%03d", gp.Name, i), body, retNs[i])
 	}

@@ -30,14 +30,49 @@ func TestGenerateValidates(t *testing.T) {
 	}
 }
 
-// TestGenerateExactBlockTable: Generate counts the blocks its bodies lower
-// to and allocates the table once, so it carries no growth slack.
+// TestGenerateExactBlockTable: Generate measures every table its bodies
+// lower to (blocks, walk code, both operand pools, indirect targets) and
+// allocates each once, so none carries growth slack. It runs over seeds 1-5
+// of genDefault and one parameter set per language flavour of the workload
+// catalog (interpreted, JIT-compiled and compiled).
 func TestGenerateExactBlockTable(t *testing.T) {
+	var progs []*Program
 	for seed := uint64(1); seed <= 5; seed++ {
 		p, _ := genDefault(t, seed)
-		if len(p.Blocks) != cap(p.Blocks) || len(p.Funcs) != cap(p.Funcs) {
-			t.Errorf("seed %d: blocks len %d cap %d, funcs len %d cap %d: want exact allocations",
-				seed, len(p.Blocks), cap(p.Blocks), len(p.Funcs), cap(p.Funcs))
+		progs = append(progs, p)
+	}
+	for _, gp := range []GenParams{
+		{Seed: 6, CodeKiB: 300, BranchSites: 9000, MeanFuncBytes: 2048, CallSpan: 14, IndirectFrac: 0.50,
+			PeriodicFrac: 0.07, NeverTakenFrac: 0.14, HardFrac: 0.04, ColdElseFrac: 0.10,
+			MeanLoopTrips: 2.2, FixedLoopFrac: 0.75, RequestLoopTrips: 50},
+		{Seed: 7, CodeKiB: 300, BranchSites: 9000, MeanFuncBytes: 2048, CallSpan: 12, IndirectFrac: 0.40,
+			PeriodicFrac: 0.12, NeverTakenFrac: 0.16, HardFrac: 0.05, ColdElseFrac: 0.08,
+			MeanLoopTrips: 2.0, FixedLoopFrac: 0.75, RequestLoopTrips: 50},
+		{Seed: 8, CodeKiB: 300, BranchSites: 9000, MeanFuncBytes: 2560, CallSpan: 10, IndirectFrac: 0.18,
+			PeriodicFrac: 0.08, NeverTakenFrac: 0.18, HardFrac: 0.04, ColdElseFrac: 0.08,
+			MeanLoopTrips: 2.0, FixedLoopFrac: 0.75, RequestLoopTrips: 50},
+	} {
+		p, _, err := Generate(gp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for i, p := range progs {
+		for _, tb := range []struct {
+			name     string
+			len, cap int
+		}{
+			{"blocks", len(p.Blocks), cap(p.Blocks)},
+			{"funcs", len(p.Funcs), cap(p.Funcs)},
+			{"walk code", len(p.code), cap(p.code)},
+			{"floats", len(p.floats), cap(p.floats)},
+			{"ints", len(p.ints), cap(p.ints)},
+			{"indirect targets", len(p.targets), cap(p.targets)},
+		} {
+			if tb.len != tb.cap || tb.len == 0 {
+				t.Errorf("program %d: %s len %d cap %d: want a non-empty exact allocation", i, tb.name, tb.len, tb.cap)
+			}
 		}
 	}
 }
@@ -87,9 +122,9 @@ func TestGenerateSeedsProduceDifferentPrograms(t *testing.T) {
 // a large majority of functions (coverage calls are on common paths).
 func TestGenerateCoverage(t *testing.T) {
 	p, rep := genDefault(t, 4)
-	touched := make(map[int]bool)
+	touched := make(map[int32]bool)
 	_, err := p.Walk(0, WalkOptions{Seed: 77, MaxInstr: 4_000_000}, func(s Step) bool {
-		touched[p.Block(s.Block).Func] = true
+		touched[p.Block(s.Block()).Func] = true
 		return true
 	})
 	if err != nil {

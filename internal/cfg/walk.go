@@ -5,13 +5,58 @@ import (
 	"math/rand/v2"
 )
 
-// Step is one dynamic basic-block execution. Taken reports whether the
-// block's terminator transferred control non-sequentially; for taken
-// branches the dynamic target is the next step's block.
-type Step struct {
-	Block BlockID
-	Taken bool
+// Step is one dynamic basic-block execution, packed into 4 bytes as
+// block<<1 | taken. Taken reports whether the block's terminator
+// transferred control non-sequentially; for taken branches the dynamic
+// target is the next step's block.
+type Step uint32
+
+// NewStep packs an execution of block b.
+func NewStep(b BlockID, taken bool) Step {
+	s := Step(b) << 1
+	if taken {
+		s |= 1
+	}
+	return s
 }
+
+// Block returns the executed block.
+func (s Step) Block() BlockID { return BlockID(s >> 1) }
+
+// Taken reports whether the block's terminator was taken.
+func (s Step) Taken() bool { return s&1 != 0 }
+
+// op is one instruction of a function's walk code, which lowering emits in
+// pre-order: a construct's op is followed by its parts, and size spans the
+// construct, so the walker can skip any part it does not execute. A Seq
+// emits no op of its own: a part is a run of ops executed in order.
+type op struct {
+	kind opKind
+	blk  BlockID // the block the op steps: straight, jump, cond, latch, call or dispatch
+	size int32   // ops in the construct, this one and its parts included
+	// n is an If's then-part length in ops (the else part fills the rest
+	// of size), or a Switch's or IndirectCall's number of alternatives.
+	n int32
+	// arg is an If's ThenBias, a Loop's MeanTrips (both as float
+	// indices), a periodic If's period, a Call's callee, or the int
+	// index of a Switch's case lengths or an IndirectCall's callees.
+	arg int32
+	w   int32 // float index of a Switch's or IndirectCall's weights; -1 draws uniformly
+}
+
+type opKind uint8
+
+const (
+	opStraight     opKind = iota // step blk, not taken
+	opJump                       // step blk, taken
+	opIf                         // draw Float64 < ThenBias, step the cond, run a part
+	opIfPeriodic                 // count the cond's executions instead of drawing
+	opLoop                       // draw a jittered trip count, then run the body and latch
+	opLoopFixed                  // exactly round(MeanTrips) trips, no draw
+	opCall                       // step blk, walk the callee
+	opIndirectCall               // draw a callee, step blk, walk it
+	opSwitch                     // draw a case, step the dispatch, run the case
+)
 
 // WalkOptions controls dynamic trace generation.
 type WalkOptions struct {
@@ -113,14 +158,14 @@ func (p *Program) Walk(entry int, opt WalkOptions, emit func(Step) bool) (WalkRe
 		w.rng = rand.New(rand.NewPCG(opt.Seed, opt.Seed^0x9e3779b97f4a7c15))
 		w.execCounts = make([]uint32, len(p.Blocks))
 	}
-	w.walkFunc(entry)
+	w.walkFunc(int32(entry))
 	return w.res, w.err
 }
 
 // step emits one block execution; it returns false when the walk must stop.
 func (w *walker) step(blk BlockID, taken bool) bool {
 	b := &w.p.Blocks[blk]
-	if !w.emit(Step{Block: blk, Taken: taken}) {
+	if !w.emit(NewStep(blk, taken)) {
 		w.res.Truncated = true
 		return false
 	}
@@ -133,7 +178,7 @@ func (w *walker) step(blk BlockID, taken bool) bool {
 	return true
 }
 
-func (w *walker) walkFunc(fi int) bool {
+func (w *walker) walkFunc(fi int32) bool {
 	if w.depth >= w.opt.MaxDepth {
 		w.err = ErrDepth
 		return false
@@ -141,99 +186,79 @@ func (w *walker) walkFunc(fi int) bool {
 	w.depth++
 	defer func() { w.depth-- }()
 	f := &w.p.Funcs[fi]
-	if f.Body != nil {
-		if !w.walkNode(f.Body) {
-			return false
-		}
-	}
-	return w.step(f.Ret, true)
+	return w.run(f.code, f.codeEnd) && w.step(f.Ret, true)
 }
 
-func (w *walker) walkNode(n Node) bool {
-	switch v := n.(type) {
-	case *Straight:
-		return w.step(v.blk, false)
-	case *Seq:
-		for _, c := range v.Nodes {
-			if !w.walkNode(c) {
+// run executes the walk code in code[pc:end], one construct at a time. It
+// draws exactly as walking the AST did: an If draws (or counts) before its
+// cond step, a Loop draws its trips before its body, and a Switch or
+// IndirectCall draws its index before its step.
+func (w *walker) run(pc, end int32) bool {
+	for ; pc < end; pc += w.p.code[pc].size {
+		o := &w.p.code[pc]
+		switch o.kind {
+		case opStraight, opJump:
+			if !w.step(o.blk, o.kind == opJump) {
+				return false
+			}
+		case opIf, opIfPeriodic:
+			var thenTaken bool
+			if o.kind == opIfPeriodic {
+				cnt := w.execCounts[o.blk]
+				w.execCounts[o.blk]++
+				thenTaken = cnt%uint32(o.arg) != 0
+			} else {
+				thenTaken = w.rng.Float64() < w.p.floats[o.arg]
+			}
+			// The lowered conditional is taken when control skips the
+			// then-part.
+			if !w.step(o.blk, !thenTaken) {
+				return false
+			}
+			lo, hi := pc+1, pc+1+o.n // the then part
+			if !thenTaken {
+				lo, hi = hi, pc+o.size // the else part
+			}
+			if !w.run(lo, hi) {
+				return false
+			}
+		case opLoop, opLoopFixed:
+			var trips int
+			if mean := w.p.floats[o.arg]; o.kind == opLoopFixed {
+				trips = max(int(mean+0.5), 1)
+			} else {
+				trips = w.sampleTrips(mean)
+			}
+			for i := 0; i < trips; i++ {
+				if !w.run(pc+1, pc+o.size) || !w.step(o.blk, i < trips-1) {
+					return false
+				}
+			}
+		case opCall:
+			if !w.step(o.blk, true) || !w.walkFunc(o.arg) {
+				return false
+			}
+		case opIndirectCall:
+			callee := w.p.ints[o.arg+w.sampleIndex(o)]
+			if !w.step(o.blk, true) || !w.walkFunc(callee) {
+				return false
+			}
+		case opSwitch:
+			ci := w.sampleIndex(o)
+			if !w.step(o.blk, true) {
+				return false
+			}
+			lens := w.p.ints[o.arg : o.arg+o.n]
+			part := pc + 1
+			for _, l := range lens[:ci] {
+				part += l
+			}
+			if !w.run(part, part+lens[ci]) {
 				return false
 			}
 		}
-		return true
-	case *If:
-		var thenTaken bool
-		if v.Period >= 2 {
-			cnt := w.execCounts[v.condBlk]
-			w.execCounts[v.condBlk]++
-			thenTaken = cnt%uint32(v.Period) != 0
-		} else {
-			thenTaken = w.rng.Float64() < v.ThenBias
-		}
-		// The lowered conditional is taken when control skips the
-		// then-part.
-		if !w.step(v.condBlk, !thenTaken) {
-			return false
-		}
-		if thenTaken {
-			if !w.walkNode(v.Then) {
-				return false
-			}
-			if v.jmpBlk != NoBlock {
-				return w.step(v.jmpBlk, true)
-			}
-			return true
-		}
-		if v.Else != nil {
-			return w.walkNode(v.Else)
-		}
-		return true
-	case *Loop:
-		var trips int
-		if v.Fixed {
-			trips = int(v.MeanTrips + 0.5)
-			if trips < 1 {
-				trips = 1
-			}
-		} else {
-			trips = w.sampleTrips(v.MeanTrips)
-		}
-		for i := 0; i < trips; i++ {
-			if !w.walkNode(v.Body) {
-				return false
-			}
-			back := i < trips-1
-			if !w.step(v.latchBlk, back) {
-				return false
-			}
-		}
-		return true
-	case *Call:
-		if !w.step(v.blk, true) {
-			return false
-		}
-		return w.walkFunc(v.Callee)
-	case *IndirectCall:
-		callee := v.Callees[w.sampleIndex(v.Weights, len(v.Callees))]
-		if !w.step(v.blk, true) {
-			return false
-		}
-		return w.walkFunc(callee)
-	case *Switch:
-		ci := w.sampleIndex(v.Weights, len(v.Cases))
-		if !w.step(v.dispatchBlk, true) {
-			return false
-		}
-		if !w.walkNode(v.Cases[ci]) {
-			return false
-		}
-		if ci < len(v.Cases)-1 {
-			return w.step(v.caseJmps[ci], true)
-		}
-		return true
-	default:
-		w.err = fmt.Errorf("cfg: unknown node type %T", n)
-		return false
 	}
+	return true
 }
 
 // sampleTrips draws a loop trip count around the mean with ±25% jitter,
@@ -249,27 +274,29 @@ func (w *walker) sampleTrips(mean float64) int {
 	return t
 }
 
-// sampleIndex draws an index in [0,n) according to weights; nil or
-// mismatched weights yield a uniform draw.
-func (w *walker) sampleIndex(weights []float64, n int) int {
+// sampleIndex draws one of o's n alternatives according to its weights;
+// missing weights (nil or mismatched at lowering) yield a uniform draw.
+func (w *walker) sampleIndex(o *op) int32 {
+	n := o.n
 	if n <= 1 {
 		return 0
 	}
-	if len(weights) != n {
-		return w.rng.IntN(n)
+	if o.w < 0 {
+		return int32(w.rng.IntN(int(n)))
 	}
+	weights := w.p.floats[o.w : o.w+n]
 	var total float64
 	for _, wt := range weights {
 		total += wt
 	}
 	if total <= 0 {
-		return w.rng.IntN(n)
+		return int32(w.rng.IntN(int(n)))
 	}
 	x := w.rng.Float64() * total
 	for i, wt := range weights {
 		x -= wt
 		if x < 0 {
-			return i
+			return int32(i)
 		}
 	}
 	return n - 1

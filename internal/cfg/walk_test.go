@@ -59,9 +59,9 @@ func TestWalkPathConsistency(t *testing.T) {
 	steps, _ := collect(t, p, WalkOptions{Seed: 7})
 	var ras []BlockID // return-site stack
 	for i := 0; i < len(steps)-1; i++ {
-		cur := p.Block(steps[i].Block)
-		next := steps[i+1].Block
-		if steps[i].Taken {
+		cur := p.Block(steps[i].Block())
+		next := steps[i+1].Block()
+		if steps[i].Taken() {
 			switch cur.Kind {
 			case BranchCall, BranchIndirectCall:
 				ras = append(ras, cur.Fall)
@@ -90,7 +90,7 @@ func TestWalkPathConsistency(t *testing.T) {
 				}
 			case BranchIndirectJump:
 				found := false
-				for _, tg := range cur.IndirectTargets {
+				for _, tg := range p.IndirectTargets(cur) {
 					if tg == next {
 						found = true
 					}
@@ -110,7 +110,7 @@ func TestWalkPathConsistency(t *testing.T) {
 			}
 		}
 	}
-	last := p.Block(steps[len(steps)-1].Block)
+	last := p.Block(steps[len(steps)-1].Block())
 	if last.Kind != BranchReturn {
 		t.Errorf("trace does not end in handler return (kind %v)", last.Kind)
 	}
@@ -157,8 +157,8 @@ func TestWalkPeriodicBranchPattern(t *testing.T) {
 	}
 	var outcomes []bool
 	_, err := p.Walk(0, WalkOptions{Seed: 5}, func(s Step) bool {
-		if s.Block == inner.condBlk {
-			outcomes = append(outcomes, s.Taken)
+		if s.Block() == inner.condBlk {
+			outcomes = append(outcomes, s.Taken())
 		}
 		return true
 	})
@@ -186,8 +186,8 @@ func TestWalkFixedLoopTrips(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		taken, notTaken := 0, 0
 		p.Walk(0, WalkOptions{Seed: seed}, func(s Step) bool {
-			if s.Block == lp.latchBlk {
-				if s.Taken {
+			if s.Block() == lp.latchBlk {
+				if s.Taken() {
 					taken++
 				} else {
 					notTaken++
@@ -220,7 +220,7 @@ func TestWalkInstrCountProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		var sum uint64
 		res, err := p.Walk(0, WalkOptions{Seed: seed}, func(s Step) bool {
-			sum += uint64(p.Block(s.Block).NumInstr)
+			sum += uint64(p.Block(s.Block()).NumInstr)
 			return true
 		})
 		return err == nil && res.Instrs == sum

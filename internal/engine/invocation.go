@@ -187,7 +187,7 @@ func (e *Engine) runInvocationInto(st *InvocationStats, opt InvocationOptions) e
 				"engine: invocation seed %d aborted after %.0f cycles at step %d/%d (budget %d): %w",
 				opt.Seed, e.nowf-startNow, i, n, e.cfg.MaxCycles, ErrCycleBudget)
 		}
-		b := e.prog.Block(e.steps[i].Block)
+		b := e.prog.Block(e.steps[i].Block())
 
 		// 1. Extend the BPU-gated prefetch lookahead.
 		if e.cfg.FDPEnabled && !e.cfg.PerfectL1I && blockedAt < 0 {
@@ -197,7 +197,7 @@ func (e *Engine) runInvocationInto(st *InvocationStats, opt InvocationOptions) e
 			limit := i + e.cfg.FTQDepth
 			for lookPtr < n && lookPtr <= limit {
 				j := lookPtr
-				bj := e.prog.Block(e.steps[j].Block)
+				bj := e.prog.Block(e.steps[j].Block())
 				e.prefetchBlockLines(bj)
 				ev := e.evalStep(j, bj, true)
 				lookPtr++
@@ -228,7 +228,7 @@ func (e *Engine) runInvocationInto(st *InvocationStats, opt InvocationOptions) e
 
 		// 4. Data-side accesses.
 		backend := 0.0
-		for k := e.data.opsFor(b.NumInstr); k > 0; k-- {
+		for k := e.data.opsFor(int(b.NumInstr)); k > 0; k-- {
 			backend += e.dataAccess()
 		}
 
@@ -385,7 +385,7 @@ func (e *Engine) evalStep(j int, b *cfg.Block, inLookahead bool) *stepEval {
 		return ev
 	}
 	ev.done = true
-	taken := e.steps[j].Taken
+	taken := e.steps[j].Taken()
 	if b.Kind == cfg.BranchNone {
 		ev.follows = true
 		return ev
@@ -457,11 +457,11 @@ func (e *Engine) evalStep(j int, b *cfg.Block, inLookahead bool) *stepEval {
 // actualTarget returns the dynamic destination of step j's terminator: the
 // next block in the trace (or the static target for the final step).
 func (e *Engine) actualTarget(j int, b *cfg.Block) uint64 {
-	if !e.steps[j].Taken {
+	if !e.steps[j].Taken() {
 		return 0
 	}
 	if j+1 < len(e.steps) {
-		return e.prog.Block(e.steps[j+1].Block).Addr
+		return e.prog.Block(e.steps[j+1].Block()).Addr
 	}
 	if b.Target != cfg.NoBlock {
 		return e.prog.Block(b.Target).Addr
@@ -479,7 +479,7 @@ func (e *Engine) resolveBranch(i int, b *cfg.Block, st *InvocationStats) (penalt
 	}
 	fresh := !e.evals[i].done
 	ev := e.evalStep(i, b, false)
-	taken := e.steps[i].Taken
+	taken := e.steps[i].Taken()
 	pc := b.BranchPC()
 	actualTarget := e.actualTarget(i, b)
 
@@ -491,7 +491,7 @@ func (e *Engine) resolveBranch(i int, b *cfg.Block, st *InvocationStats) (penalt
 	switch b.Kind {
 	case cfg.BranchCond:
 		st.CondBranches++
-		blk := e.steps[i].Block
+		blk := e.steps[i].Block()
 		seenBefore := e.seen[blk] == e.seenGen
 		e.seen[blk] = e.seenGen
 		predTaken := ev.predTaken
@@ -601,7 +601,7 @@ func (e *Engine) wrongPathBurst(i int, b *cfg.Block) {
 		return
 	}
 	ev := &e.evals[i]
-	taken := e.steps[i].Taken
+	taken := e.steps[i].Taken()
 	var start uint64
 	switch {
 	case taken && (!ev.btbHit || !ev.predTaken):

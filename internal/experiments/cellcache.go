@@ -296,7 +296,8 @@ func (cc *CellCache) trace(pe *progEntry, seed, maxInstr uint64) ([]cfg.Step, cf
 		steps := make([]cfg.Step, 0, 4096)
 		e.res, e.err = pe.prog.Walk(0, cfg.WalkOptions{Seed: seed, MaxInstr: maxInstr},
 			func(s cfg.Step) bool { steps = append(steps, s); return true })
-		e.steps = steps
+		e.steps = make([]cfg.Step, len(steps)) // held for the run: no append slack
+		copy(e.steps, steps)
 	})
 	return e.steps, e.res, e.err
 }

@@ -100,8 +100,9 @@ func programDigest(t *testing.T, spec workload.Spec) string {
 		u64(uint64(b.Target))
 		u64(uint64(b.Fall))
 		u64(math.Float64bits(b.Bias))
-		u64(uint64(len(b.IndirectTargets)))
-		for _, tg := range b.IndirectTargets {
+		tgts := prog.IndirectTargets(b)
+		u64(uint64(len(tgts)))
+		for _, tg := range tgts {
 			u64(uint64(tg))
 		}
 		u64(uint64(b.Func))
@@ -113,16 +114,16 @@ func programDigest(t *testing.T, spec workload.Spec) string {
 		str(f.Name)
 		u64(uint64(f.Entry))
 		u64(uint64(f.Ret))
-		u64(uint64(len(f.Blocks())))
-		for _, id := range f.Blocks() {
+		u64(uint64(f.Ret - f.Entry + 1)) // the function's blocks, Entry..Ret
+		for id := f.Entry; id <= f.Ret; id++ {
 			u64(uint64(id))
 		}
 		flush()
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		res, err := prog.Walk(0, cfg.WalkOptions{Seed: seed, MaxInstr: 100_000}, func(s cfg.Step) bool {
-			u64(uint64(s.Block))
-			if s.Taken {
+			u64(uint64(s.Block()))
+			if s.Taken() {
 				buf = append(buf, 1)
 			} else {
 				buf = append(buf, 0)

@@ -198,3 +198,95 @@ func roundtripNoT(recs []Record) []Record {
 	}
 	return out
 }
+
+// TestCodecUnalignedPrevTarget: a compact record's PC delta is taken from
+// the previous target, so an unaligned previous target forces a full
+// record; before the fix the second record decoded as 0x100E->0x13FE.
+func TestCodecUnalignedPrevTarget(t *testing.T) {
+	recs := []Record{
+		{BranchPC: 0x1000, Target: 0x1002, Kind: cfg.BranchIndirectJump},
+		{BranchPC: 0x1010, Target: 0x1400, Kind: cfg.BranchUncond},
+	}
+	got := roundtrip(t, DefaultCodecConfig(), recs)
+	if len(got) != 2 || got[1] != recs[1] {
+		t.Errorf("got %+v, want %+v", got, recs)
+	}
+}
+
+func TestCodecRejectsWideAddress(t *testing.T) {
+	codec := DefaultCodecConfig()
+	enc := NewEncoder(codec, memsys.NewRegion(0, 1<<10))
+	for _, rec := range []Record{
+		{BranchPC: 1 << codec.FullAddrBits, Target: 0x1000, Kind: cfg.BranchCall},
+		{BranchPC: 0x1000, Target: 1<<codec.FullAddrBits | 0x40, Kind: cfg.BranchCall},
+	} {
+		if ok, err := enc.Encode(rec); ok || err == nil {
+			t.Errorf("Encode(%+v) = %v, %v; want an error", rec, ok, err)
+		}
+	}
+	if enc.Records != 0 || enc.BitsWritten() != 0 {
+		t.Errorf("rejected records wrote %d records, %d bits", enc.Records, enc.BitsWritten())
+	}
+}
+
+// codecRecords reads the fuzz input as 13-byte records: a kind byte and two
+// 6-byte little-endian addresses, so every address is below 2^48 and of any
+// alignment.
+func codecRecords(data []byte) []Record {
+	addr := func(b []byte) uint64 {
+		var v uint64
+		for i := 5; i >= 0; i-- {
+			v = v<<8 | uint64(b[i])
+		}
+		return v
+	}
+	var recs []Record
+	for ; len(data) >= 13; data = data[13:] {
+		recs = append(recs, Record{
+			Kind:     cfg.BranchKind(1 + data[0]%6), // cond .. icall
+			BranchPC: addr(data[1:7]),
+			Target:   addr(data[7:13]),
+		})
+	}
+	return recs
+}
+
+// FuzzCodec: decoding arbitrary bytes as a metadata stream never panics and
+// ends within the region, and the input read as records round-trips
+// exactly through a region sized to hold them all as full records.
+func FuzzCodec(f *testing.F) {
+	codec := DefaultCodecConfig()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raw := memsys.NewRegion(0, len(data))
+		raw.Write(data)
+		dec := NewDecoder(codec, raw)
+		for {
+			if _, ok, err := dec.Decode(); !ok || err != nil {
+				break
+			}
+		}
+		if dec.BitsRead() > 8*len(data) || raw.ReadPos() > raw.Used() {
+			t.Fatalf("decoder read %d bits (cursor %d) of a %d-byte region", dec.BitsRead(), raw.ReadPos(), len(data))
+		}
+
+		recs := codecRecords(data)
+		region := memsys.NewRegion(0, (len(recs)*codec.FullBits()+7)/8)
+		enc := NewEncoder(codec, region)
+		for _, rec := range recs {
+			if ok, err := enc.Encode(rec); !ok || err != nil {
+				t.Fatalf("Encode(%+v) = %v, %v", rec, ok, err)
+			}
+		}
+		enc.Finish()
+		dec = NewDecoder(codec, region)
+		for i, want := range recs {
+			got, ok, err := dec.Decode()
+			if !ok || err != nil || got != want {
+				t.Fatalf("record %d decoded as %+v (ok %v, err %v), want %+v", i, got, ok, err, want)
+			}
+		}
+		if got, ok, err := dec.Decode(); ok || err != nil {
+			t.Fatalf("decoded %+v (err %v) past the %d records encoded", got, err, len(recs))
+		}
+	})
+}

@@ -34,7 +34,7 @@ func MeasureWorkingSet(p *cfg.Program, seed, maxInstr uint64) (WorkingSet, error
 	var ws WorkingSet
 
 	res, err := p.Walk(0, cfg.WalkOptions{Seed: seed, MaxInstr: maxInstr}, func(s cfg.Step) bool {
-		b := p.Block(s.Block)
+		b := p.Block(s.Block())
 		start := b.Addr &^ (cfg.CacheLineBytes - 1)
 		end := b.BranchPC() &^ (cfg.CacheLineBytes - 1)
 		for la := start; la <= end; la += cfg.CacheLineBytes {
@@ -43,7 +43,7 @@ func MeasureWorkingSet(p *cfg.Program, seed, maxInstr uint64) (WorkingSet, error
 		if b.Kind.IsBranch() {
 			ws.DynBranches++
 			branchPCs[b.BranchPC()] = struct{}{}
-			if s.Taken {
+			if s.Taken() {
 				takenPCs[b.BranchPC()] = struct{}{}
 			}
 		}

@@ -54,7 +54,8 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 # benchmark that panics or no longer compiles is a broken promise to anyone
 # comparing against the committed BENCH_<n>.json trajectory. The
 # internal/fleet/budget package holds the budget market's BenchmarkFrontier,
-# internal/cfg the program generator's BenchmarkGenerate.
+# internal/cfg the program generator's BenchmarkGenerate and the trace
+# walker's BenchmarkWalk.
 go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg
 
 # Batching path under the race detector, by name: the batched invocation
@@ -185,6 +186,9 @@ done
 # The same for the serving daemon's request decoder (seeds in
 # internal/serve/testdata/fuzz).
 go test -run '^$' -fuzz '^FuzzParseInvokeRequest$' -fuzztime 10s -fuzzminimizetime 200x ./internal/serve
+# The same for the Ignite metadata codec: no panic on arbitrary bytes, exact
+# round trips (seeds in internal/ignite/testdata/fuzz).
+go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 10s -fuzzminimizetime 200x ./internal/ignite
 
 # Self-healing smoke: the same sweep on a supervised fleet with a worker
 # SIGKILLed mid-run. The supervisor must resurrect the victim on its old
@@ -240,4 +244,4 @@ go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
   test "$root_cold" = "$root_warm"
 )
 
-echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, wire fuzz, self-healing smoke)"
+echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, wire and codec fuzz, self-healing smoke)"
