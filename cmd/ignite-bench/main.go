@@ -5,7 +5,6 @@
 //	ignite-bench -exp all                # every experiment, all 20 functions
 //	ignite-bench -exp fig8,fig9a         # selected experiments
 //	ignite-bench -exp fig3 -workloads Auth-G,Curr-N -parallel 4
-//	ignite-bench -exp all -json          # also write BENCH.json
 //	ignite-bench -exp fig1 -out results/ # versioned JSON document per experiment
 //	ignite-bench -exp all -progress      # narrate cell completions + ETA
 //	ignite-bench -exp all -fail-policy continue -out results/
@@ -27,13 +26,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -58,29 +55,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// expReport is the per-experiment entry of BENCH.json.
-type expReport struct {
-	ID          string `json:"id"`
-	Title       string `json:"title"`
-	WallClockNs int64  `json:"wallClockNs"`
-	NsPerOp     int64  `json:"nsPerOp"` // identical to WallClockNs: one op = one experiment run
-	AllocsPerOp uint64 `json:"allocsPerOp"`
-	BytesPerOp  uint64 `json:"bytesPerOp"`
-}
-
-// benchReport is the BENCH.json document.
-type benchReport struct {
-	Generated   string      `json:"generated"`
-	Note        string      `json:"note,omitempty"`
-	GoVersion   string      `json:"goVersion"`
-	Workloads   int         `json:"workloads"`
-	Parallel    int         `json:"parallel"`
-	TotalNs     int64       `json:"totalNs"`
-	CacheCells  int         `json:"cacheCells"`
-	CacheHits   int         `json:"cacheHits"`
-	Experiments []expReport `json:"experiments"`
-}
-
 func idList() string {
 	var b strings.Builder
 	for i, id := range experiments.IDs() {
@@ -100,13 +74,9 @@ func main() {
 	listFlag := flag.Bool("list", false, "list experiments and workloads, then exit")
 	workerFlag := flag.Bool("worker", false, "run as a distributed-sweep worker: serve cell tasks on -listen until interrupted")
 	listenFlag := flag.String("listen", "127.0.0.1:0", "worker listen address (with -worker; :0 picks a free port and prints it)")
-	workersFlag := flag.Int("workers", 0, "spawn N supervised local worker processes and distribute cells across them (alias of -spawn-workers)")
-	spawnWorkersFlag := flag.Int("spawn-workers", 0, "spawn N supervised local worker processes: crashed workers restart with capped backoff on stable addresses")
+	workersFlag := flag.Int("workers", 0, "spawn N supervised local worker processes and distribute cells across them: crashed workers restart with capped backoff on stable addresses")
 	workerAddrsFlag := flag.String("worker-addrs", "", "comma-separated addresses of already-running workers (alternative to -workers)")
 	storeFlag := flag.String("store", "", "directory of the persistent content-addressed cell store (created if missing)")
-	jsonFlag := flag.Bool("json", false, "write per-experiment wall-clock and allocation metrics to BENCH.json")
-	benchoutFlag := flag.String("benchout", "", "write the benchmark report to this path (convention: BENCH_<n>.json, a committed trajectory of benchmark runs)")
-	noteFlag := flag.String("benchnote", "", "free-form annotation embedded in the benchmark report (e.g. before/after hot-path numbers)")
 	cpuFlag := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this path")
 	outFlag := flag.String("out", "", "directory for machine-readable JSON result documents")
 	progFlag := flag.Bool("progress", false, "report per-cell completion and ETA on stderr")
@@ -168,22 +138,15 @@ func main() {
 	// Distributed sweep: shard fresh cells across worker processes. Cells
 	// already in the store never reach the wire — the backing is consulted
 	// first — so a warm rerun with -workers is pure local I/O.
-	spawnN := *spawnWorkersFlag
-	if *workersFlag > 0 {
-		if spawnN > 0 {
-			cfgcli.Exit("ignite-bench", nil, cfgcli.Usage("ignite-bench: -workers and -spawn-workers are aliases; set one"))
-		}
-		spawnN = *workersFlag
-	}
 	var coord *dist.Coordinator
 	var super *dist.Supervisor
-	if spawnN > 0 || *workerAddrsFlag != "" {
+	if *workersFlag > 0 || *workerAddrsFlag != "" {
 		addrs := splitList(*workerAddrsFlag)
-		if spawnN > 0 && len(addrs) > 0 {
-			cfgcli.Exit("ignite-bench", nil, cfgcli.Usage("ignite-bench: -spawn-workers and -worker-addrs are mutually exclusive"))
+		if *workersFlag > 0 && len(addrs) > 0 {
+			cfgcli.Exit("ignite-bench", nil, cfgcli.Usage("ignite-bench: -workers and -worker-addrs are mutually exclusive"))
 		}
 		if len(addrs) == 0 {
-			super, err = dist.StartSupervisor(dist.SupervisorOptions{Workers: spawnN})
+			super, err = dist.StartSupervisor(dist.SupervisorOptions{Workers: *workersFlag})
 			if err != nil {
 				cfgcli.Exit("ignite-bench", nil, err)
 			}
@@ -217,16 +180,7 @@ func main() {
 		}
 	}
 
-	report := benchReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Note:      *noteFlag,
-		GoVersion: runtime.Version(),
-		Workloads: len(opt.Workloads),
-		Parallel:  cf.Parallel,
-	}
-	if report.Workloads == 0 {
-		report.Workloads = len(workload.All())
-	}
+	generated := time.Now().UTC().Format(time.RFC3339)
 	if *cpuFlag != "" {
 		f, err := os.Create(*cpuFlag)
 		if err != nil {
@@ -239,16 +193,12 @@ func main() {
 		}
 		defer f.Close()
 	}
-	totalStart := time.Now()
-	var mem runtime.MemStats
 	var results []*experiments.Result
 	failed := false
 	for _, id := range ids {
 		if ctx.Err() != nil {
 			break
 		}
-		runtime.ReadMemStats(&mem)
-		mallocs, bytes := mem.Mallocs, mem.TotalAlloc
 		start := time.Now()
 		res, err := experiments.Run(ctx, id, opt)
 		if err != nil {
@@ -259,30 +209,18 @@ func main() {
 			}
 			break
 		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&mem)
 		fmt.Println(res.Render())
-		fmt.Printf("[%s completed in %.1fs]\n\n", id, elapsed.Seconds())
+		fmt.Printf("[%s completed in %.1fs]\n\n", id, time.Since(start).Seconds())
 		printFailures(res)
 		if len(res.Failures) > 0 {
 			failed = true
 		}
 		results = append(results, res)
-		report.Experiments = append(report.Experiments, expReport{
-			ID:          string(id),
-			Title:       experiments.Title(id),
-			WallClockNs: elapsed.Nanoseconds(),
-			NsPerOp:     elapsed.Nanoseconds(),
-			AllocsPerOp: mem.Mallocs - mallocs,
-			BytesPerOp:  mem.TotalAlloc - bytes,
-		})
 	}
 	if *cpuFlag != "" {
 		pprof.StopCPUProfile()
 		fmt.Fprintf(os.Stderr, "wrote CPU profile to %s\n", *cpuFlag)
 	}
-	report.TotalNs = time.Since(totalStart).Nanoseconds()
-	report.CacheCells, report.CacheHits = opt.Cache.Stats()
 	if reporter != nil {
 		cells, hits := reporter.Summary()
 		fmt.Fprintf(os.Stderr, "%d cells (%d cache hits)\n", cells, hits)
@@ -312,7 +250,7 @@ func main() {
 
 	if *outFlag != "" {
 		man := opt.Manifest()
-		man.Generated = report.Generated
+		man.Generated = generated
 		for _, res := range results {
 			path, err := res.Document(man).WriteFile(*outFlag, string(res.ID))
 			if err != nil {
@@ -320,29 +258,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-
-	benchPaths := make([]string, 0, 2)
-	if *jsonFlag {
-		benchPaths = append(benchPaths, "BENCH.json")
-	}
-	if *benchoutFlag != "" {
-		benchPaths = append(benchPaths, *benchoutFlag)
-	}
-	if len(benchPaths) > 0 {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for _, path := range benchPaths {
-			if err := obs.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d experiments, %d unique cells, %d cache hits)\n",
-				path, len(report.Experiments), report.CacheCells, report.CacheHits)
 		}
 	}
 

@@ -1,8 +1,7 @@
-// Observability: drive one simulation through the redesigned sim API
-// (functional options instead of a positional Tweaks struct), stream
-// structured events through an obs.Tracer, and export the full metric
-// snapshot as a versioned JSON document — the same machine-readable form
-// ignite-bench -out and ignite-sim -out write.
+// Observability: drive one simulation through the sim API's functional
+// options, stream structured events through an obs.Tracer, and export the
+// full metric snapshot as a versioned JSON document — the same
+// machine-readable form ignite-bench -out and ignite-sim -out write.
 package main
 
 import (
@@ -29,10 +28,10 @@ func main() {
 	// stream them as JSON lines instead. MultiTracer fans out to both.
 	events := &obs.Collector{}
 
-	// Functional options replace the old positional Tweaks struct:
-	// unrelated knobs compose without zero-value placeholders.
+	// Functional options compose unrelated knobs; the sensitivity-study
+	// tweaks travel as one sim.Tweaks value.
 	setup, err := sim.New(spec, sim.KindIgnite,
-		sim.WithThrottleThreshold(64),
+		sim.WithTweaks(sim.Tweaks{ThrottleThreshold: 64}),
 		sim.WithTracer(events),
 	)
 	if err != nil {

@@ -213,7 +213,7 @@ func ReplayIdempotence(spec workload.Spec) error {
 // which sites conflict) without letting a real inversion through.
 func BTBMonotonicity(spec workload.Spec) error {
 	mpki := func(entries int) (float64, error) {
-		_, res, err := runKind(spec, sim.KindNL, lukewarm.Interleaved, sim.WithBTBEntries(entries))
+		_, res, err := runKind(spec, sim.KindNL, lukewarm.Interleaved, sim.WithTweaks(sim.Tweaks{BTBEntries: entries}))
 		if err != nil {
 			return 0, err
 		}
@@ -239,7 +239,7 @@ func BTBMonotonicity(spec workload.Spec) error {
 // lifetime (both runs execute the identical protocol).
 func L2Monotonicity(spec workload.Spec) error {
 	missRate := func(kib int) (float64, error) {
-		setup, res, err := runKind(spec, sim.KindNL, lukewarm.Interleaved, sim.WithL2KiB(kib))
+		setup, res, err := runKind(spec, sim.KindNL, lukewarm.Interleaved, sim.WithTweaks(sim.Tweaks{L2KiB: kib}))
 		if err != nil {
 			return 0, err
 		}
@@ -266,7 +266,7 @@ func L2Monotonicity(spec workload.Spec) error {
 // than the adversarial weakly-not-taken initialization.
 func BIMPolicyOrdering(spec workload.Spec) error {
 	induced := func(p ignite.BIMPolicy) (float64, error) {
-		_, res, err := runKind(spec, sim.KindIgnite, lukewarm.Interleaved, sim.WithBIMPolicy(p))
+		_, res, err := runKind(spec, sim.KindIgnite, lukewarm.Interleaved, sim.WithTweaks(sim.Tweaks{BIMPolicy: &p}))
 		if err != nil {
 			return 0, err
 		}

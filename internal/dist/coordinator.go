@@ -309,7 +309,6 @@ func (c *Coordinator) Remote() experiments.RemoteFunc {
 			Checks:        env.Checks,
 			MaxCycles:     env.MaxCycles,
 		}
-		backoff := 50 * time.Millisecond
 		for round := 1; ; round++ {
 			if round > 1 {
 				c.mRedispatches.Inc()
@@ -336,14 +335,11 @@ func (c *Coordinator) Remote() experiments.RemoteFunc {
 				return r.payload, r.err
 			}
 			select {
-			case <-time.After(backoff):
+			case <-time.After(faults.Backoff(50*time.Millisecond, 2*time.Second, round)):
 			case <-ctx.Done():
 				return experiments.CellPayload{}, ctx.Err()
 			case <-c.stopc:
 				return experiments.CellPayload{}, fmt.Errorf("dist: coordinator closed")
-			}
-			if backoff *= 2; backoff > 2*time.Second {
-				backoff = 2 * time.Second
 			}
 		}
 	}

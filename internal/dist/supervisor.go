@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"ignite/internal/faults"
 	"ignite/internal/obs"
 )
 
@@ -236,10 +237,7 @@ func (s *Supervisor) monitor(i int) {
 				return
 			}
 			consecutive++
-			backoff := s.opts.RestartBackoff << (consecutive - 1)
-			if backoff > backoffCap || backoff <= 0 {
-				backoff = backoffCap
-			}
+			backoff := faults.Backoff(s.opts.RestartBackoff, backoffCap, consecutive)
 			s.opts.Log("worker %d (%s) exited (%v); restart %d/%d in %v",
 				i, addr, werr, consecutive, maxRestarts, backoff)
 			select {

@@ -113,12 +113,12 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 			"coordinator key %q, this worker derives %q (mixed binary versions?)", req.Key, got))
 		return
 	}
-	served, cached, err := w.cache.Invoke(cs, experiments.CellEnv{Checks: req.Checks, MaxCycles: req.MaxCycles})
+	cell, cached, err := w.cache.Invoke(cs, experiments.CellEnv{Checks: req.Checks, MaxCycles: req.MaxCycles})
 	if err != nil {
 		writeError(rw, envelope(CodeInternal, "cell %s/%s: %v", req.Workload.Name, req.Config, err))
 		return
 	}
-	payload, err := json.Marshal(experiments.CellPayload{Res: served.Res, Metrics: served.Metrics})
+	payload, err := json.Marshal(cell)
 	if err != nil {
 		writeError(rw, envelope(CodeInternal, "encode cell: %v", err))
 		return

@@ -69,7 +69,7 @@ func serialAblation(t *testing.T, id ID, specs []workload.Spec) *Result {
 	case "abl-throttle":
 		r.Table = stats.NewTable(r.Title, "threshold", "speedup over NL", "BTB MPKI", "L1I MPKI")
 		for _, thr := range []int{64, 256, 1024, 4096, 1 << 20} {
-			sp, _, res := serialPoint(t, specs, nil, sim.KindIgnite, sim.WithThrottleThreshold(thr))
+			sp, _, res := serialPoint(t, specs, nil, sim.KindIgnite, sim.WithTweaks(sim.Tweaks{ThrottleThreshold: thr}))
 			label := fmt.Sprintf("%d", thr)
 			if thr == 1<<20 {
 				label = "unthrottled"
@@ -83,7 +83,7 @@ func serialAblation(t *testing.T, id ID, specs []workload.Spec) *Result {
 		r.Table = stats.NewTable(r.Title, "BTB entries", "config", "speedup over NL", "BTB MPKI")
 		for _, entries := range []int{6144, 12288, 24576} {
 			for _, kind := range []sim.Kind{sim.KindBoomerangJB, sim.KindIgnite} {
-				opts := []sim.Option{sim.WithBTBEntries(entries)}
+				opts := []sim.Option{sim.WithTweaks(sim.Tweaks{BTBEntries: entries})}
 				sp, _, res := serialPoint(t, specs, opts, kind, opts...)
 				btb := meanOf(res, (*lukewarm.Result).BTBMPKI)
 				r.Table.AddRowf(entries, string(kind), stats.GeoMean(sp), btb)
@@ -94,7 +94,7 @@ func serialAblation(t *testing.T, id ID, specs []workload.Spec) *Result {
 	case "abl-metadata":
 		r.Table = stats.NewTable(r.Title, "budget KiB", "speedup over NL", "BTB MPKI", "records dropped")
 		for _, kib := range []int{8, 30, 60, 120, 240} {
-			sp, setups, res := serialPoint(t, specs, nil, sim.KindIgnite, sim.WithMetadataBytes(kib<<10))
+			sp, setups, res := serialPoint(t, specs, nil, sim.KindIgnite, sim.WithTweaks(sim.Tweaks{MetadataBytes: kib << 10}))
 			var dropped []float64
 			for _, st := range setups {
 				dropped = append(dropped, float64(st.Ignite.Recorder().Dropped))

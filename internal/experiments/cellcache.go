@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime/debug"
 	"sync"
 
@@ -27,14 +26,12 @@ var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 // CellCache memoizes the two deterministic, expensive artifacts of an
 // experiment run across experiments:
 //
-//   - generated programs, keyed by the full workload specification, built
-//     once per workload and shared read-only (Program.Walk carries its own
-//     PCG state, so concurrent cells may walk one program safely), each
-//     with the committed traces walked from it;
-//   - simulation cells, keyed by everything that determines a cell's
-//     outcome: the workload spec (name, generator parameters, data profile,
-//     instruction budget), the front-end configuration kind, the
-//     canonicalized tweaks, and the lukewarm mode.
+//   - generated programs, keyed by the canonical key of the full workload
+//     specification, built once per workload and shared read-only
+//     (Program.Walk carries its own PCG state, so concurrent cells may walk
+//     one program safely), each with the committed traces walked from it;
+//   - simulation cells, keyed by CellSpec.Key: the workload spec, the
+//     front-end configuration kind, the tweaks and the lukewarm mode.
 //
 // A cell is a pure function of its key — the engine seeds every RNG from the
 // spec — so the nl/interleaved baseline that fig3, fig8, fig9a, fig11 and
@@ -72,12 +69,18 @@ type CellBacking interface {
 	Save(key string, res CellPayload)
 }
 
-// CellPayload is the portable value of one computed cell — exactly what
-// the content-addressed store and the distributed-sweep wire protocol both
-// carry. lukewarm.Result is plain exported data, so a JSON round trip
-// reproduces it bit-identically.
+// CellPayload is the value of one computed cell: the lukewarm result plus
+// the cell's flattened metric snapshot, captured as plain values so cached
+// cells never pin an engine. It is what the cache memoizes, the store
+// persists, the dist wire ships and the serving daemon answers from;
+// lukewarm.Result is plain exported data, so a JSON round trip reproduces it
+// bit-identically.
 type CellPayload struct {
-	Res     *lukewarm.Result   `json:"res"`
+	Res *lukewarm.Result `json:"res"`
+	// Metrics is the cell's registry snapshot (engine + mechanisms +
+	// result aggregates), keyed by obs sample key. Figure code reads
+	// specific keys (see the m* constants); the exporters ship the whole
+	// map per cell.
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -109,7 +112,7 @@ type traceKey struct{ seed, maxInstr uint64 }
 
 type cellEntry struct {
 	once sync.Once
-	c    *cell
+	p    *CellPayload
 	err  error
 }
 
@@ -143,29 +146,6 @@ func (cc *CellCache) fork() *CellCache {
 		cells: make(map[string]*cellEntry), backing: cc.backing, remote: cc.remote}
 }
 
-// specKey fingerprints everything about a workload that affects simulation:
-// tests and benchmarks shrink TargetInstr on otherwise identical specs, so
-// the name alone is not a safe key.
-func specKey(spec workload.Spec) string {
-	return fmt.Sprintf("%s|%d|%+v|%+v", spec.Name, spec.TargetInstr, spec.Gen, spec.Data)
-}
-
-// tweakKey canonicalizes sim.Tweaks (dereferencing the BIM-policy pointer,
-// which would otherwise print as an address and break key equality).
-func tweakKey(tw sim.Tweaks) string {
-	bim := -1
-	if tw.BIMPolicy != nil {
-		bim = int(*tw.BIMPolicy)
-	}
-	return fmt.Sprintf("keep=%v,%v,%v|bim=%d|dbl=%v|thr=%d|meta=%d|btb=%d|l2=%d",
-		tw.Keep.BTB, tw.Keep.BIM, tw.Keep.TAGE, bim,
-		tw.DoubleBuffer, tw.ThrottleThreshold, tw.MetadataBytes, tw.BTBEntries, tw.L2KiB)
-}
-
-func cellKey(spec workload.Spec, rc runConfig) string {
-	return fmt.Sprintf("%s|kind=%s|mode=%d|%s", specKey(spec), rc.Kind, rc.Mode, tweakKey(rc.Tweak))
-}
-
 // program returns the workload's generated program, building it at most once.
 func (cc *CellCache) program(spec workload.Spec) (*cfg.Program, error) {
 	e := cc.programEntry(spec)
@@ -173,7 +153,7 @@ func (cc *CellCache) program(spec workload.Spec) (*cfg.Program, error) {
 }
 
 func (cc *CellCache) programEntry(spec workload.Spec) *progEntry {
-	key := specKey(spec)
+	key := canonicalKey(spec)
 	cc.mu.Lock()
 	e, ok := cc.progs[key]
 	if !ok {
@@ -190,7 +170,7 @@ func (cc *CellCache) programEntry(spec workload.Spec) *progEntry {
 // Only the serving daemon calls it, when a function has no batch in flight.
 func (cc *CellCache) Release(spec workload.Spec) {
 	cc.mu.Lock()
-	delete(cc.progs, specKey(spec))
+	delete(cc.progs, canonicalKey(spec))
 	cc.mu.Unlock()
 }
 
@@ -201,26 +181,15 @@ func (cc *CellCache) Programs() int {
 	return len(cc.progs)
 }
 
-// cellEnv carries the per-run knobs that shape how a fresh cell simulates
-// without affecting its result, so none of them belong in the cache key:
-// tracing and checking never alter outcomes (a check can only abort the
-// run), and the cycle-budget watchdog is abort-only. ctx bounds remote
-// computation only — local simulation is pure CPU and runs to completion.
-type cellEnv struct {
-	ctx       context.Context
-	tracer    obs.Tracer
-	checks    bool
-	maxCycles uint64
-}
-
-// cell returns the simulated (workload, config) cell, computing it at most
-// once per unique key. The second return reports whether the cell was served
-// from the cache (an entry another request already created). A panic during
+// cell returns the simulated cell cs, computing it at most once per unique
+// key. The second return reports whether the cell was served from the cache
+// (an entry another request already created). ctx bounds remote computation
+// only — local simulation is pure CPU and runs to completion. A panic during
 // computation is recovered into a *faults.PanicError and cached as the
 // entry's error — without that, sync.Once would mark the entry done and
 // serve a nil cell to every later requester.
-func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell, bool, error) {
-	key := cellKey(spec, rc)
+func (cc *CellCache) cell(ctx context.Context, cs CellSpec, env CellEnv) (*CellPayload, bool, error) {
+	key := cs.Key()
 	cc.mu.Lock()
 	e, hit := cc.cells[key]
 	if hit {
@@ -233,7 +202,7 @@ func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell,
 	e.once.Do(func() {
 		defer func() {
 			if v := recover(); v != nil {
-				e.c, e.err = nil, &faults.PanicError{Value: v, Stack: debug.Stack()}
+				e.p, e.err = nil, &faults.PanicError{Value: v, Stack: debug.Stack()}
 			}
 		}()
 		// Persistent store first: a warm record turns the cell into pure
@@ -242,27 +211,22 @@ func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell,
 		// between a cold run and a warm-store rerun.
 		if cc.backing != nil {
 			if p, ok := cc.backing.Load(key); ok {
-				e.c = &cell{Res: p.Res, Metrics: p.Metrics}
+				e.p = &p
 				return
 			}
 		}
+		var p CellPayload
 		if cc.remote != nil {
-			ctx := env.ctx
-			if ctx == nil {
-				ctx = context.Background()
-			}
-			cs := CellSpec{Workload: spec, Config: rc.Kind, Tweaks: rc.Tweak, Mode: rc.Mode}
-			p, err := cc.remote(ctx, cs, CellEnv{Tracer: env.tracer, Checks: env.checks, MaxCycles: env.maxCycles})
-			if err != nil {
-				e.err = err
-				return
-			}
-			e.c = &cell{Res: p.Res, Metrics: p.Metrics}
+			p, e.err = cc.remote(ctx, cs, env)
 		} else {
-			e.c, e.err = cc.compute(spec, rc, env)
+			p, e.err = cc.compute(cs, env)
 		}
-		if e.err == nil && cc.backing != nil {
-			cc.backing.Save(key, CellPayload{Res: e.c.Res, Metrics: e.c.Metrics})
+		if e.err != nil {
+			return
+		}
+		e.p = &p
+		if cc.backing != nil {
+			cc.backing.Save(key, p)
 		}
 	})
 	// A transient remote failure (worker connection lost, fleet draining)
@@ -277,7 +241,7 @@ func (cc *CellCache) cell(spec workload.Spec, rc runConfig, env cellEnv) (*cell,
 		}
 		cc.mu.Unlock()
 	}
-	return e.c, hit, e.err
+	return e.p, hit, e.err
 }
 
 // trace returns the committed trace for (seed, budget) of pe's program,
@@ -302,30 +266,30 @@ func (cc *CellCache) trace(pe *progEntry, seed, maxInstr uint64) ([]cfg.Step, cf
 	return e.steps, e.res, e.err
 }
 
-func (cc *CellCache) compute(spec workload.Spec, rc runConfig, env cellEnv) (*cell, error) {
-	pe := cc.programEntry(spec)
+func (cc *CellCache) compute(cs CellSpec, env CellEnv) (CellPayload, error) {
+	pe := cc.programEntry(cs.Workload)
 	if pe.err != nil {
-		return nil, pe.err
+		return CellPayload{}, pe.err
 	}
-	opts := []sim.Option{sim.WithTweaks(rc.Tweak), sim.WithTracer(env.tracer)}
-	if env.checks {
+	opts := []sim.Option{sim.WithTweaks(cs.Tweaks), sim.WithTracer(env.Tracer)}
+	if env.Checks {
 		opts = append(opts, sim.WithChecks())
 	}
-	if env.maxCycles > 0 {
-		opts = append(opts, sim.WithMaxCycles(env.maxCycles))
+	if env.MaxCycles > 0 {
+		opts = append(opts, sim.WithMaxCycles(env.MaxCycles))
 	}
-	setup, err := sim.NewWithProgram(spec, pe.prog, rc.Kind, opts...)
+	setup, err := sim.NewWithProgram(cs.Workload, pe.prog, cs.Config, opts...)
 	if err != nil {
-		return nil, err
+		return CellPayload{}, err
 	}
 	setup.Eng.AttachScratch(scratchPool.Get().(*engine.Scratch))
 	defer func() { scratchPool.Put(setup.Eng.DetachScratch()) }()
 	setup.TraceProvider = func(seed, maxInstr uint64) ([]cfg.Step, cfg.WalkResult, error) {
 		return cc.trace(pe, seed, maxInstr)
 	}
-	res, err := setup.Run(rc.Mode)
+	res, err := setup.Run(cs.Mode)
 	if err != nil {
-		return nil, err
+		return CellPayload{}, err
 	}
 	// Snapshot every engine/mechanism/result metric into plain values so
 	// cached cells do not pin whole engines (caches, BTB, TAGE tables) in
@@ -333,7 +297,7 @@ func (cc *CellCache) compute(spec workload.Spec, rc runConfig, env cellEnv) (*ce
 	reg := obs.NewRegistry()
 	setup.RegisterMetrics(reg)
 	res.RegisterMetrics(reg, nil)
-	return &cell{Res: res, Metrics: reg.Snapshot().Values()}, nil
+	return CellPayload{Res: res, Metrics: reg.Snapshot().Values()}, nil
 }
 
 // Stats reports the number of distinct cells simulated and how many cell

@@ -316,20 +316,6 @@ type runConfig struct {
 	Mode  lukewarm.Mode
 }
 
-// cell is the outcome of one (workload, config) simulation: the lukewarm
-// result plus the cell's flattened metric snapshot. Metrics are captured
-// eagerly as plain values rather than by retaining the *sim.Setup, so a
-// cross-experiment cache of cells stays small instead of pinning one full
-// engine per unique cell.
-type cell struct {
-	Res *lukewarm.Result
-	// Metrics is the cell's registry snapshot (engine + mechanisms +
-	// result aggregates), keyed by obs sample key. Figure code reads
-	// specific keys (see the m* constants); the exporters ship the whole
-	// map per cell.
-	Metrics map[string]float64
-}
-
 // Metric keys the experiment code reads back out of cell snapshots. Label sets
 // are canonical (sorted by key), so these strings are stable.
 const (
@@ -346,7 +332,7 @@ const (
 // their rows would be incomplete — while their computed cells still ship in
 // the exported document alongside status-only entries for the missing ones.
 type matrix struct {
-	cells     map[string]map[string]*cell
+	cells     map[string]map[string]*CellPayload
 	outcomes  []schedOutcome
 	unhealthy map[string]bool
 }
@@ -371,22 +357,22 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 		cache = NewCellCache()
 	}
 	m := &matrix{
-		cells:     make(map[string]map[string]*cell, len(opt.Workloads)),
+		cells:     make(map[string]map[string]*CellPayload, len(opt.Workloads)),
 		unhealthy: make(map[string]bool),
 	}
 	var mu sync.Mutex
-	store := func(wl, cfgName string, c *cell) {
+	store := func(wl, cfgName string, c *CellPayload) {
 		mu.Lock()
 		row := m.cells[wl]
 		if row == nil {
-			row = make(map[string]*cell, len(configs))
+			row = make(map[string]*CellPayload, len(configs))
 			m.cells[wl] = row
 		}
 		row[cfgName] = c
 		mu.Unlock()
 	}
 
-	env := cellEnv{tracer: opt.Tracer, checks: opt.Checks, maxCycles: opt.MaxCycles}
+	env := CellEnv{Tracer: opt.Tracer, Checks: opt.Checks, MaxCycles: opt.MaxCycles}
 	total := len(opt.Workloads) * len(configs)
 	var done atomic.Int64
 	runCell := func(cctx context.Context, spec workload.Spec, rc runConfig) error {
@@ -395,9 +381,8 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 		if err := opt.Faults.Fire(cctx, site); err != nil {
 			return err
 		}
-		cellEnv := env
-		cellEnv.ctx = cctx // bounds remote computation; local cells run to completion
-		c, cached, err := cache.cell(spec, rc, cellEnv)
+		cs := CellSpec{Workload: spec, Config: rc.Kind, Tweaks: rc.Tweak, Mode: rc.Mode}
+		c, cached, err := cache.cell(cctx, cs, env)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", spec.Name, rc.Name, err)
 		}

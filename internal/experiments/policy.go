@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"time"
+
+	"ignite/internal/faults"
 )
 
 // FailurePolicy selects how the cell scheduler reacts to a failing cell.
@@ -88,18 +90,8 @@ type CellFailure struct {
 // overrides it) and the serving batcher retry a transient cell failure.
 const DefaultRetries = 2
 
-// Capped exponential backoff between transient-failure retries.
-const (
-	firstRetryDelay = 5 * time.Millisecond
-	maxRetryDelay   = 2 * time.Second
-)
-
 // RetryDelay returns the delay before retry #attempt (1-based): 5ms,
 // doubling per attempt, capped at 2s.
 func RetryDelay(attempt int) time.Duration {
-	d := firstRetryDelay << (attempt - 1)
-	if d > maxRetryDelay || d <= 0 {
-		d = maxRetryDelay
-	}
-	return d
+	return faults.Backoff(5*time.Millisecond, 2*time.Second, attempt)
 }

@@ -1,18 +1,24 @@
 package experiments
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"reflect"
+
 	"ignite/internal/lukewarm"
 	"ignite/internal/obs"
 	"ignite/internal/sim"
 	"ignite/internal/workload"
 )
 
-// CellSpec publicly identifies one simulation cell — the unit the serving
-// daemon coalesces concurrent invocation requests onto. It is the exported
-// face of the (workload, config, tweaks, mode) key the experiment matrix
-// uses internally, so a cell served over HTTP is the same cell, under the
-// same cache key, that the batch pipeline computes: results are
-// bit-identical between the two paths by construction.
+// CellSpec identifies one simulation cell — the unit the experiment matrix
+// schedules, the store persists, the dist wire ships and the serving daemon
+// coalesces concurrent invocation requests onto. A cell served over HTTP is
+// the same cell, under the same key, that the batch pipeline computes:
+// results are bit-identical between the two paths by construction.
 type CellSpec struct {
 	// Workload is the full function specification. Servers that override
 	// the instruction budget (CI smokes, tests) adjust TargetInstr here;
@@ -26,17 +32,68 @@ type CellSpec struct {
 	Mode lukewarm.Mode
 }
 
-func (cs CellSpec) runConfig() runConfig {
-	return runConfig{Name: string(cs.Config), Kind: cs.Config, Tweak: cs.Tweaks, Mode: cs.Mode}
+// keyVersion versions every key canonicalKey derives. Bump it when a cell's
+// result changes for an unchanged CellSpec, so records stored by older
+// builds miss instead of serving stale cells.
+const keyVersion = 2
+
+// canonicalKey returns the hex SHA-256 of v's canonical encoding, prefixed
+// with keyVersion. The encoding walks v by reflection in field declaration
+// order and writes every field's name and value — strings quoted, numbers
+// as numbers (never through a String method, which may not be one-to-one),
+// floats in their shortest exact form, a nil pointer distinct from a set
+// one — so every field reachable from v is keyed without a hand-kept field
+// list. It keeps no per-type state: encoding/json would hold about 18 KB of
+// encoder caches for the life of a serving daemon. A kind it cannot encode
+// (a slice, a map) panics: only a new field type the walk was not taught can
+// reach it, and TestCellKeyCoversEveryField fails first.
+func canonicalKey(v any) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "v%d;", keyVersion)
+	writeCanonical(h, reflect.ValueOf(v))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func writeCanonical(w io.Writer, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		io.WriteString(w, "{")
+		for i := 0; i < v.NumField(); i++ {
+			io.WriteString(w, v.Type().Field(i).Name+":")
+			writeCanonical(w, v.Field(i))
+		}
+		io.WriteString(w, "}")
+	case reflect.Pointer:
+		if v.IsNil() {
+			io.WriteString(w, "nil;")
+			return
+		}
+		io.WriteString(w, "&")
+		writeCanonical(w, v.Elem())
+	case reflect.String:
+		fmt.Fprintf(w, "%q;", v.String())
+	case reflect.Bool:
+		fmt.Fprintf(w, "%t;", v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		fmt.Fprintf(w, "%d;", v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		fmt.Fprintf(w, "%d;", v.Uint())
+	case reflect.Float32, reflect.Float64:
+		fmt.Fprintf(w, "%g;", v.Float())
+	default:
+		panic(fmt.Sprintf("experiments: canonicalKey cannot encode a %s", v.Type()))
+	}
 }
 
 // Key returns the cell's canonical cache key: everything that determines
 // its outcome, nothing that doesn't (tracing, checks and watchdogs are
 // excluded, see CellEnv).
-func (cs CellSpec) Key() string { return cellKey(cs.Workload, cs.runConfig()) }
+func (cs CellSpec) Key() string { return canonicalKey(cs) }
 
 // CellEnv carries the per-run knobs that shape how a fresh cell simulates
-// without affecting its result — none of them are part of the cache key.
+// without affecting its result, so none of them are part of the cache key:
+// tracing and checking never alter outcomes (a check can only abort the
+// run), and the cycle-budget watchdog is abort-only.
 type CellEnv struct {
 	// Tracer receives invocation/replay lifecycle events from freshly
 	// simulated cells (nil = no tracing).
@@ -49,28 +106,11 @@ type CellEnv struct {
 	MaxCycles uint64
 }
 
-// ServedCell is the public view of one computed cell: the lukewarm result
-// plus the cell's flattened metric snapshot, exactly what the batch
-// pipeline caches (the engine behind it has already been released).
-type ServedCell struct {
-	// Key is the cell's canonical cache key (CellSpec.Key).
-	Key string
-	// Res is the protocol result over the measured invocations.
-	Res *lukewarm.Result
-	// Metrics is the cell's registry snapshot, keyed by obs sample key.
-	Metrics map[string]float64
-}
-
 // Invoke computes (or serves from cache) the cell identified by cs,
 // single-flight: concurrent Invokes of one key share one simulation. The
 // second return reports whether the cell was served from the cache. This is
-// the serving daemon's entry point into the same memoized cells the
-// experiment matrix runs on.
-func (cc *CellCache) Invoke(cs CellSpec, env CellEnv) (*ServedCell, bool, error) {
-	c, hit, err := cc.cell(cs.Workload, cs.runConfig(),
-		cellEnv{tracer: env.Tracer, checks: env.Checks, maxCycles: env.MaxCycles})
-	if err != nil {
-		return nil, hit, err
-	}
-	return &ServedCell{Key: cs.Key(), Res: c.Res, Metrics: c.Metrics}, hit, nil
+// the serving daemon's and the dist worker's entry point into the same
+// memoized cells the experiment matrix runs on.
+func (cc *CellCache) Invoke(cs CellSpec, env CellEnv) (*CellPayload, bool, error) {
+	return cc.cell(context.Background(), cs, env)
 }

@@ -108,6 +108,17 @@ func IsTransient(err error) bool {
 	return false
 }
 
+// Backoff returns the capped exponential delay before retry number attempt
+// (1-based): first, doubling per attempt, never above limit. It doubles
+// only until it reaches limit, so no attempt number can overflow it.
+func Backoff(first, limit time.Duration, attempt int) time.Duration {
+	d := first
+	for n := 1; n < attempt && d > 0 && d < limit; n++ {
+		d *= 2
+	}
+	return min(d, limit)
+}
+
 // rule is one armed fault. Pattern fields use "*" as a wildcard.
 type rule struct {
 	kind  Kind

@@ -4,9 +4,42 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
+
+// TestBackoff pins the capped doubling of every retry loop: cell retries in
+// the scheduler and the serving batcher (5ms to 2s), dist dispatch rounds
+// (50ms to 2s) and supervisor restarts (200ms by default, to 5s), up to
+// attempt numbers where a shifted delay would overflow.
+func TestBackoff(t *testing.T) {
+	const ms, s = time.Millisecond, time.Second
+	for _, tc := range []struct {
+		first, limit time.Duration
+		attempt      int
+		want         time.Duration
+	}{
+		{5 * ms, 2 * s, 0, 5 * ms},
+		{5 * ms, 2 * s, 1, 5 * ms},
+		{5 * ms, 2 * s, 2, 10 * ms},
+		{5 * ms, 2 * s, 9, 1280 * ms},
+		{5 * ms, 2 * s, 10, 2 * s},
+		{5 * ms, 2 * s, 64, 2 * s},
+		{5 * ms, 2 * s, math.MaxInt, 2 * s},
+		{50 * ms, 2 * s, 1, 50 * ms},
+		{50 * ms, 2 * s, 6, 1600 * ms},
+		{50 * ms, 2 * s, 7, 2 * s},
+		{200 * ms, 5 * s, 1, 200 * ms},
+		{200 * ms, 5 * s, 5, 3200 * ms},
+		{200 * ms, 5 * s, 6, 5 * s},
+		{200 * ms, 5 * s, math.MaxInt32, 5 * s},
+	} {
+		if got := Backoff(tc.first, tc.limit, tc.attempt); got != tc.want {
+			t.Errorf("Backoff(%v, %v, %d) = %v, want %v", tc.first, tc.limit, tc.attempt, got, tc.want)
+		}
+	}
+}
 
 func TestParseAndFire(t *testing.T) {
 	p, err := Parse("transient@fig1/A/nl:trips=2; panic@*/B/*; slow@fig2/C/nl:delay=1ms")

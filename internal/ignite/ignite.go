@@ -98,6 +98,9 @@ func (ig *Ignite) Replayer() *Replayer { return ig.rep }
 // Regs returns the current control-register values.
 func (ig *Ignite) Regs() ControlRegs { return ig.regs }
 
+// Config returns the configuration the instance was built with.
+func (ig *Ignite) Config() Config { return ig.cfg }
+
 // StartRecord models the OS configuring the record registers and setting
 // the record-enable bit before launching a fresh function instance.
 func (ig *Ignite) StartRecord() {

@@ -30,7 +30,7 @@ type batchRequest struct {
 
 // batchResponse is the outcome delivered to every waiter of a batch.
 type batchResponse struct {
-	cell      *experiments.ServedCell
+	cell      *experiments.CellPayload
 	cached    bool
 	batchSize int
 	err       error
@@ -157,7 +157,7 @@ func NewBatcher(cfg BatcherConfig, reg *obs.Registry) *Batcher {
 // when the admission queue is full, shutting-down after Close, deadline on
 // context expiry (the underlying computation still completes and warms the
 // cache for a retry), internal for simulation errors.
-func (b *Batcher) Submit(ctx context.Context, spec experiments.CellSpec) (*experiments.ServedCell, bool, int, *ErrorEnvelope) {
+func (b *Batcher) Submit(ctx context.Context, spec experiments.CellSpec) (*experiments.CellPayload, bool, int, *ErrorEnvelope) {
 	req := &batchRequest{spec: spec, key: spec.Key(), done: make(chan batchResponse, 1)}
 
 	b.mu.RLock()
@@ -307,7 +307,7 @@ func (b *Batcher) track(spec experiments.CellSpec, delta int) {
 // transient-retry — the serving counterpart of the experiment scheduler's
 // supervise loop. Injected faults fire before the cache lookup, so an
 // injected failure can never poison a cached result.
-func (b *Batcher) run(spec experiments.CellSpec) (cell *experiments.ServedCell, cached bool, err error) {
+func (b *Batcher) run(spec experiments.CellSpec) (cell *experiments.CellPayload, cached bool, err error) {
 	site := faults.Site{Experiment: "serve", Workload: spec.Workload.Name, Config: string(spec.Config)}
 	for attempt := 1; ; attempt++ {
 		cell, cached, err = b.attempt(site, spec)
@@ -323,7 +323,7 @@ func (b *Batcher) run(spec experiments.CellSpec) (cell *experiments.ServedCell, 
 	}
 }
 
-func (b *Batcher) attempt(site faults.Site, spec experiments.CellSpec) (cell *experiments.ServedCell, cached bool, err error) {
+func (b *Batcher) attempt(site faults.Site, spec experiments.CellSpec) (cell *experiments.CellPayload, cached bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &faults.PanicError{Value: v, Stack: debug.Stack()}

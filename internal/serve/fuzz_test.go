@@ -30,3 +30,26 @@ func FuzzParseInvokeRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeMetrics: DecodeMetrics, which reads a daemon's /metrics answer
+// for ignite-load, never panics, and a document it accepts marshals and
+// decodes to an equal value. Seeds live in testdata/fuzz/FuzzDecodeMetrics.
+func FuzzDecodeMetrics(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, err := DecodeMetrics(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatalf("accepted document does not marshal: %v", err)
+		}
+		back, err := DecodeMetrics(again)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted document rejected: %v", err)
+		}
+		if !reflect.DeepEqual(doc, back) {
+			t.Fatalf("round trip changed the document:\n%+v\n%+v", doc, back)
+		}
+	})
+}

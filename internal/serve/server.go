@@ -265,7 +265,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		Function:      spec.Workload.Name,
 		Config:        string(spec.Config),
 		Mode:          req.Mode,
-		CellKey:       cell.Key,
+		CellKey:       spec.Key(),
 		Cached:        cached,
 		BatchSize:     batchSize,
 		Result:        ResultFrom(cell.Res),

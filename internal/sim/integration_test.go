@@ -135,7 +135,7 @@ func TestBackToBackBeatsEverything(t *testing.T) {
 // TestThrottleTweakWired verifies the ablation plumbing reaches the replay.
 func TestThrottleTweakWired(t *testing.T) {
 	s := spec(t)
-	setup, err := New(s, KindIgnite, WithThrottleThreshold(64), WithMetadataBytes(16<<10))
+	setup, err := New(s, KindIgnite, WithTweaks(Tweaks{ThrottleThreshold: 64, MetadataBytes: 16 << 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestThrottleTweakWired(t *testing.T) {
 // TestBTBEntriesTweakWired verifies the BTB-capacity override.
 func TestBTBEntriesTweakWired(t *testing.T) {
 	s := spec(t)
-	setup, err := New(s, KindNL, WithBTBEntries(6144))
+	setup, err := New(s, KindNL, WithTweaks(Tweaks{BTBEntries: 6144}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,14 @@ package sim
 import (
 	"ignite/internal/check"
 	"ignite/internal/faults"
-	"ignite/internal/ignite"
-	"ignite/internal/lukewarm"
 	"ignite/internal/obs"
 )
 
-// Option configures a Setup under construction. Options replace the old
-// positional Tweaks argument: callers state only the knobs they change.
+// Option configures a Setup under construction: callers state only what
+// they change.
 type Option func(*settings)
 
-// settings is the resolved option set. Tweaks remains the internal carrier
-// so the experiment layer can keep canonical tweak-based cache keys.
+// settings is the resolved option set.
 type settings struct {
 	tw        Tweaks
 	tracer    obs.Tracer
@@ -33,44 +30,6 @@ func applyOptions(opts []Option) settings {
 		}
 	}
 	return s
-}
-
-// WithKeep preserves extra structures across the thrash (Figs 4, 5).
-func WithKeep(k lukewarm.Preserve) Option {
-	return func(s *settings) { s.tw.Keep = k }
-}
-
-// WithBIMPolicy overrides Ignite's bimodal initialization policy (Fig 11).
-func WithBIMPolicy(p ignite.BIMPolicy) Option {
-	return func(s *settings) { s.tw.BIMPolicy = &p }
-}
-
-// WithDoubleBuffer records while replaying — the worst-case metadata
-// bandwidth configuration of Figure 10.
-func WithDoubleBuffer() Option {
-	return func(s *settings) { s.tw.DoubleBuffer = true }
-}
-
-// WithThrottleThreshold overrides Ignite's replay throttle (Fig abl).
-func WithThrottleThreshold(n int) Option {
-	return func(s *settings) { s.tw.ThrottleThreshold = n }
-}
-
-// WithMetadataBytes overrides Ignite's metadata budget.
-func WithMetadataBytes(n int) Option {
-	return func(s *settings) { s.tw.MetadataBytes = n }
-}
-
-// WithBTBEntries overrides the BTB capacity (default 12K entries).
-func WithBTBEntries(n int) Option {
-	return func(s *settings) { s.tw.BTBEntries = n }
-}
-
-// WithL2KiB overrides the L2 capacity in KiB (default Table 2's 1280 KiB).
-// The hierarchy keeps its 20-way geometry, so the size must leave a
-// power-of-two set count: 320, 640, 1280, 2560, ... KiB.
-func WithL2KiB(n int) Option {
-	return func(s *settings) { s.tw.L2KiB = n }
 }
 
 // WithChecks enables runtime invariant checking: after every invocation the
@@ -101,33 +60,9 @@ func WithFaults(p *faults.Plan) Option {
 	return func(s *settings) { s.faults = p }
 }
 
-// WithTweaks applies a whole Tweaks bundle at once.
-//
-// Deprecated: new code should use the individual With* options; this bridge
-// exists for callers (such as the experiment cell cache) that carry Tweaks
-// values as canonical, comparable configuration keys.
+// WithTweaks sets the setup's sensitivity-study knobs (Figs 4, 5, 10, 11
+// and the ablations). It assigns the whole Tweaks value, so the zero value
+// of a field means the configuration default and the last WithTweaks wins.
 func WithTweaks(tw Tweaks) Option {
-	return func(s *settings) {
-		if tw.Keep != (lukewarm.Preserve{}) {
-			s.tw.Keep = tw.Keep
-		}
-		if tw.BIMPolicy != nil {
-			s.tw.BIMPolicy = tw.BIMPolicy
-		}
-		if tw.DoubleBuffer {
-			s.tw.DoubleBuffer = true
-		}
-		if tw.ThrottleThreshold != 0 {
-			s.tw.ThrottleThreshold = tw.ThrottleThreshold
-		}
-		if tw.MetadataBytes != 0 {
-			s.tw.MetadataBytes = tw.MetadataBytes
-		}
-		if tw.BTBEntries != 0 {
-			s.tw.BTBEntries = tw.BTBEntries
-		}
-		if tw.L2KiB != 0 {
-			s.tw.L2KiB = tw.L2KiB
-		}
-	}
+	return func(s *settings) { s.tw = tw }
 }

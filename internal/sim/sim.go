@@ -75,8 +75,9 @@ type Tweaks struct {
 	MetadataBytes int
 	// BTBEntries overrides the BTB capacity (0 = default 12K).
 	BTBEntries int
-	// L2KiB overrides the L2 capacity in KiB (0 = default 1280); see
-	// WithL2KiB for the geometry constraint.
+	// L2KiB overrides the L2 capacity in KiB (0 = default 1280). The
+	// hierarchy keeps its 20-way geometry, so the size must leave a
+	// power-of-two set count: 320, 640, 1280, 2560, ... KiB.
 	L2KiB int
 }
 
@@ -113,7 +114,7 @@ type Setup struct {
 // New builds the setup for a workload under the named configuration.
 // Behaviour is adjusted through functional options: for example
 //
-//	sim.New(spec, sim.KindIgnite, sim.WithBTBEntries(6144), sim.WithDoubleBuffer())
+//	sim.New(spec, sim.KindIgnite, sim.WithTweaks(sim.Tweaks{BTBEntries: 6144, DoubleBuffer: true}))
 func New(spec workload.Spec, kind Kind, opts ...Option) (*Setup, error) {
 	prog, _, err := spec.Build()
 	if err != nil {

@@ -110,7 +110,7 @@ func TestIgniteTAGEPreservesTage(t *testing.T) {
 func TestBIMPolicyTweak(t *testing.T) {
 	s := spec(t)
 	pol := ignite.BIMWeaklyNotTaken
-	st, err := New(s, KindIgnite, WithBIMPolicy(pol))
+	st, err := New(s, KindIgnite, WithTweaks(Tweaks{BIMPolicy: &pol}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,8 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 (
   cd "$smoke"
   ./ignite-bench \
-    -exp fig1 -workloads Fib-G -target-instr 200000 -json -out results \
+    -exp fig1 -workloads Fib-G -target-instr 200000 -out results \
     >/dev/null
-  test -s BENCH.json
   test -s results/fig1.json
   grep -q '"schemaVersion": 1' results/fig1.json
   grep -q '"kind": "ignite.experiment-result"' results/fig1.json
@@ -45,18 +44,23 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 (
   cd "$smoke"
   IGNITE_CHECKS=1 ./ignite-bench \
-    -exp fig8 -workloads Fib-G -target-instr 200000 -json -out results-checked \
+    -exp fig8 -workloads Fib-G -target-instr 200000 -out results-checked \
     >/dev/null
   test -s results-checked/fig8.json
 )
 
 # Bench smoke: every benchmark must still run (one iteration each) — a
 # benchmark that panics or no longer compiles is a broken promise to anyone
-# comparing against the committed BENCH_<n>.json trajectory. The
+# comparing against the bench/<pkg>-baseline.txt files benchdiff.sh keeps. The
 # internal/fleet/budget package holds the budget market's BenchmarkFrontier,
 # internal/cfg the program generator's BenchmarkGenerate and the trace
 # walker's BenchmarkWalk.
 go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg
+
+# The repo benchmark (perfbench/) is its own module built against this one
+# (replace ignite => ../): vet and test it here, so an exported-API change
+# that breaks the benchmark fails CI rather than the benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
 
 # Batching path under the race detector, by name: the batched invocation
 # entry point (engine.RunInvocations + the lukewarm protocol riding it) and
@@ -189,6 +193,14 @@ go test -run '^$' -fuzz '^FuzzParseInvokeRequest$' -fuzztime 10s -fuzzminimizeti
 # The same for the Ignite metadata codec: no panic on arbitrary bytes, exact
 # round trips (seeds in internal/ignite/testdata/fuzz).
 go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 10s -fuzzminimizetime 200x ./internal/ignite
+# The same for the store's record and manifest reads (seeds in
+# internal/store/testdata/fuzz), the daemon's /metrics document and the
+# load report (seeds under internal/serve and internal/loadgen).
+for target in FuzzGetRecord FuzzOpenManifest; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 200x ./internal/store
+done
+go test -run '^$' -fuzz '^FuzzDecodeMetrics$' -fuzztime 10s -fuzzminimizetime 200x ./internal/serve
+go test -run '^$' -fuzz '^FuzzDecodeReport$' -fuzztime 10s -fuzzminimizetime 200x ./internal/loadgen
 
 # Self-healing smoke: the same sweep on a supervised fleet with a worker
 # SIGKILLed mid-run. The supervisor must resurrect the victim on its old
@@ -210,7 +222,7 @@ go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
     -out chaos-base >/dev/null
   ./ignite-bench \
     -exp fig1 -target-instr 100000 -parallel 2 \
-    -spawn-workers 2 -store chaos-store -out chaos-cold >/dev/null 2>chaos-cold.log &
+    -workers 2 -store chaos-store -out chaos-cold >/dev/null 2>chaos-cold.log &
   bench_pid=$!
   # SIGKILL one spawned worker shortly after it appears: exact process
   # name plus a -worker argv check, so neither the coordinating bench nor
@@ -244,4 +256,4 @@ go test -race -run 'TestChaosSweepByteIdentical' -timeout 10m ./internal/chaos
   test "$root_cold" = "$root_warm"
 )
 
-echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, wire and codec fuzz, self-healing smoke)"
+echo "ci: ok (build, vet, race tests, examples, JSON export, checked smoke, bench smoke, perfbench vet and tests, batching race pass, mutation smoke, chaos, serve smoke, fleet smoke, dist smoke, wire, codec, store and document fuzz, self-healing smoke)"
