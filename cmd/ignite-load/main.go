@@ -13,11 +13,12 @@
 //	ignite-load -rps 500 -duration 2s -strict      # exit 1 on any non-2xx
 //
 // A run has two phases. The prime phase (default 250ms at 2000 req/s,
-// disable with -prime-rps 0) fires a Poisson burst at the cold cell; those
-// concurrent requests coalesce in the server's batcher, which is where the
-// reported coalescing ratio (batched requests per batch, >1 under any
-// concurrency) comes from. The measured phase then drives the schedule
-// against the now-hot cell and owns every latency number in the report.
+// disable with -prime-rps 0) fires a Poisson burst at the cold cell; the
+// requests that arrive while its simulation computes join that one flight
+// in the server's batcher, which is where the reported coalescing ratio
+// (batched requests per batch, >1 under any concurrency) comes from. The
+// measured phase then drives the schedule against the now-hot cell and
+// owns every latency number in the report.
 // Server-side numbers are the /metrics deltas scraped around both phases.
 package main
 

@@ -1,8 +1,9 @@
 // Command ignite-serve is the invocation-serving daemon: a long-running
 // HTTP/JSON server that accepts invocation requests for named functions
 // (the Table-1 workloads plus tweak overrides), coalesces concurrent
-// requests for the same simulation cell onto one batched engine run, and
-// answers with per-invocation latency/CPI/traffic results.
+// requests for the same simulation cell onto one flight (one engine run
+// that every request arriving while it computes joins), and answers with
+// per-invocation latency/CPI/traffic results.
 //
 // Usage:
 //
@@ -14,7 +15,7 @@
 //
 // Endpoints: POST /v1/invoke, GET /v1/catalog, GET /metrics, GET /healthz.
 // SIGTERM/Ctrl-C drains: the listener stops, in-flight requests answer,
-// pending batches compute, then the process exits 0.
+// every flight finishes computing, then the process exits 0.
 package main
 
 import (
@@ -32,15 +33,9 @@ import (
 	"ignite/internal/workload"
 )
 
-// drainGrace bounds the SIGTERM drain: pending batches get this long to
-// compute before the process gives up.
+// drainGrace bounds the SIGTERM drain: in-flight requests get this long to
+// be answered before the process gives up.
 const drainGrace = 30 * time.Second
-
-func drainContext() context.Context {
-	ctx, cancel := context.WithTimeout(context.Background(), drainGrace)
-	_ = cancel // the process exits right after the drain completes
-	return ctx
-}
 
 // parsePopulation resolves -population "seed,N" into servable specs.
 func parsePopulation(s string) ([]workload.Spec, error) {
@@ -70,9 +65,7 @@ func main() {
 	cf := cfgcli.New()
 	cf.BindCore(flag.CommandLine)
 	addrFlag := flag.String("addr", ":8080", "listen address (\":0\" for an ephemeral port)")
-	maxBatchFlag := flag.Int("max-batch", 0, "requests coalesced per cell before an immediate flush (0 = default 64)")
-	maxWaitFlag := flag.Duration("max-wait", 0, "max time a request waits for batch-mates before its cell flushes (0 = default 2ms)")
-	queueFlag := flag.Int("queue", 0, "admission queue capacity; overflow sheds with 429 (0 = default 1024)")
+	queueFlag := flag.Int("queue", 0, "cells that may wait for a worker; a new cell past them sheds with 429 (0 = default 1024)")
 	timeoutFlag := flag.Duration("request-timeout", 0, "default per-request deadline (0 = 60s)")
 	popFlag := flag.String("population", "", "serve a sampled fleet population alongside Table 1, as \"seed,N\" (e.g. \"42,1000\")")
 	flag.Parse()
@@ -96,8 +89,6 @@ func main() {
 		MaxCycles:      cf.MaxCycles,
 		Faults:         plan,
 		Workers:        cf.Parallel,
-		MaxBatch:       *maxBatchFlag,
-		MaxWait:        *maxWaitFlag,
 		Queue:          *queueFlag,
 		RequestTimeout: *timeoutFlag,
 		Population:     pop,
@@ -113,7 +104,9 @@ func main() {
 	<-ctx.Done()
 	fmt.Fprintln(os.Stderr, "ignite-serve: draining")
 	start := time.Now()
-	if err := srv.Shutdown(drainContext()); err != nil {
+	grace, cancel := context.WithTimeout(context.Background(), drainGrace)
+	defer cancel()
+	if err := srv.Shutdown(grace); err != nil {
 		fmt.Fprintf(os.Stderr, "ignite-serve: drain: %v\n", err)
 		os.Exit(1)
 	}

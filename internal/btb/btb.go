@@ -89,18 +89,27 @@ type BTB struct {
 	currentVM uint16
 }
 
-// New builds a BTB; geometry must be power-of-two sets.
-func New(c Config) (*BTB, error) {
+// Validate reports whether New can build c: entries that divide into a
+// power-of-two number of sets, and 1 to 40 tag bits.
+func (c Config) Validate() error {
 	if c.Entries <= 0 || c.Ways <= 0 || c.Entries%c.Ways != 0 {
-		return nil, fmt.Errorf("btb: bad geometry %+v", c)
+		return fmt.Errorf("btb: bad geometry %+v", c)
 	}
-	sets := c.Entries / c.Ways
-	if bits.OnesCount(uint(sets)) != 1 {
-		return nil, fmt.Errorf("btb: %d sets not a power of two", sets)
+	if sets := c.Entries / c.Ways; bits.OnesCount(uint(sets)) != 1 {
+		return fmt.Errorf("btb: %d sets not a power of two", sets)
 	}
 	if c.TagBits <= 0 || c.TagBits > 40 {
-		return nil, fmt.Errorf("btb: bad tag bits %d", c.TagBits)
+		return fmt.Errorf("btb: bad tag bits %d", c.TagBits)
 	}
+	return nil
+}
+
+// New builds a BTB; c must pass Validate.
+func New(c Config) (*BTB, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	sets := c.Entries / c.Ways
 	return &BTB{
 		cfg:     c,
 		sets:    sets,

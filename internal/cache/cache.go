@@ -98,23 +98,32 @@ type Cache struct {
 	stats    Stats
 }
 
-// New builds a cache from cfg, validating that the geometry is coherent
-// (power-of-two line size and set count).
-func New(cfg Config) (*Cache, error) {
+// Validate reports whether New can build cfg: a coherent geometry with a
+// power-of-two line size and set count.
+func (cfg Config) Validate() error {
 	if cfg.LineBytes <= 0 || bits.OnesCount(uint(cfg.LineBytes)) != 1 {
-		return nil, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
+		return fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
 	if cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
-		return nil, fmt.Errorf("cache %s: invalid geometry", cfg.Name)
+		return fmt.Errorf("cache %s: invalid geometry", cfg.Name)
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	if lines%cfg.Ways != 0 {
-		return nil, fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
+		return fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
 	}
+	if sets := lines / cfg.Ways; bits.OnesCount(uint(sets)) != 1 {
+		return fmt.Errorf("cache %s: %d sets not a power of two", cfg.Name, sets)
+	}
+	return nil
+}
+
+// New builds a cache from cfg, which must pass Validate.
+func New(cfg Config) (*Cache, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / cfg.Ways
-	if bits.OnesCount(uint(sets)) != 1 {
-		return nil, fmt.Errorf("cache %s: %d sets not a power of two", cfg.Name, sets)
-	}
 	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,

@@ -57,7 +57,8 @@ type TaskRequest struct {
 	Config sim.Kind `json:"config"`
 	// Tweaks adjusts the configuration. sim.Tweaks is shipped directly —
 	// ints, bools and an optional policy pointer — rather than through
-	// serve's string-y TweakSpec, so no re-validation can drift.
+	// serve's string-y TweakSpec; both wires validate with
+	// sim.Tweaks.Validate.
 	Tweaks sim.Tweaks `json:"tweaks"`
 	// Mode selects back-to-back or interleaved execution.
 	Mode lukewarm.Mode `json:"mode"`
@@ -157,8 +158,9 @@ func envelope(code, format string, args ...any) *ErrorEnvelope {
 	}
 }
 
-// ParseTaskRequest decodes and validates a task body. Unknown fields and
-// foreign schema versions fail loudly, same as serve's v1 parsing.
+// ParseTaskRequest decodes and validates a task body. Unknown fields,
+// foreign schema versions and tweaks the engine cannot build fail loudly,
+// same as serve's v1 parsing.
 func ParseTaskRequest(body []byte) (TaskRequest, *ErrorEnvelope) {
 	var req TaskRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -175,6 +177,9 @@ func ParseTaskRequest(body []byte) (TaskRequest, *ErrorEnvelope) {
 	}
 	if req.Workload.Name == "" {
 		return req, envelope(CodeBadRequest, "missing workload specification")
+	}
+	if err := req.Tweaks.Validate(); err != nil {
+		return req, envelope(CodeBadRequest, "tweaks: %v", err)
 	}
 	return req, nil
 }

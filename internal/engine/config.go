@@ -84,6 +84,22 @@ type Config struct {
 	Data DataConfig
 }
 
+// Validate reports whether New can build c: its BTB and, when L2SizeBytes
+// overrides it, its L2.
+func (c Config) Validate() error {
+	err := c.BTB.Validate()
+	if err == nil && c.L2SizeBytes > 0 {
+		err = c.l2().Validate()
+	}
+	return err
+}
+
+// l2 is the L2 that L2SizeBytes asks for: the hierarchy's 20-way geometry
+// at the overridden size.
+func (c Config) l2() cache.Config {
+	return cache.Config{Name: "L2", SizeBytes: c.L2SizeBytes, LineBytes: cache.LineBytesConst, Ways: 20, HitLatency: c.Lat.L2}
+}
+
 // DataConfig parameterizes the synthetic data-access stream that produces
 // the back-end component of the CPI stack. Data addresses are identical
 // across invocations of the same function, so back-to-back invocations find

@@ -125,13 +125,7 @@ func New(prog *cfg.Program, c Config) *Engine {
 	// companion outruns the estimate).
 	e.pending.init(4 * (c.FTQDepth + c.NLDegree + 1))
 	if c.L2SizeBytes > 0 {
-		e.hier.L2 = cache.MustNew(cache.Config{
-			Name:       "L2",
-			SizeBytes:  c.L2SizeBytes,
-			LineBytes:  cache.LineBytesConst,
-			Ways:       20,
-			HitLatency: c.Lat.L2,
-		})
+		e.hier.L2 = cache.MustNew(c.l2())
 	}
 	e.emitStep = func(s cfg.Step) bool {
 		e.steps = append(e.steps, s)

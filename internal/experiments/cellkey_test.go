@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,7 +96,8 @@ func TestCellKeyCoversEveryField(t *testing.T) {
 // built setup's Keep, engine configuration or Ignite configuration must
 // differ, or the build must fail. A failed build counts as acting on the
 // field, since an ignored field cannot fail it; the walk's generic values
-// include geometry the engine rejects, such as a one-entry BTB.
+// include geometry the engine rejects, such as a one-entry BTB, which
+// NewWithProgram must return as an error: a panic fails the test.
 func TestNewWithProgramAppliesEveryTweak(t *testing.T) {
 	spec, err := workload.ByName("Auth-G")
 	if err != nil {
@@ -112,15 +112,10 @@ func TestNewWithProgramAppliesEveryTweak(t *testing.T) {
 		Engine engine.Config
 		Ignite ignite.Config
 	}
-	build := func(tw sim.Tweaks) (r resolved, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("panic: %v", v)
-			}
-		}()
+	build := func(tw sim.Tweaks) (resolved, error) {
 		st, err := sim.NewWithProgram(spec, prog, sim.KindIgnite, sim.WithTweaks(tw))
 		if err != nil {
-			return r, err
+			return resolved{}, err
 		}
 		return resolved{st.Keep, st.Eng.Config(), st.Ignite.Config()}, nil
 	}

@@ -86,12 +86,15 @@ IGNITE_FAULTS=smoke go test ./internal/experiments -run Chaos
 
 # Serving smoke: boot the daemon on an ephemeral-ish port with tiny cells,
 # drive one low-RPS ignite-load burst (strict: any non-2xx fails the build),
-# then require that the idle daemon holds no program, SIGTERM it and require
-# a clean drain (exit 0). The serve race pass by name keeps the batcher,
-# program-release and scrape paths visible on their own.
+# require that the prime burst coalesced (requests that arrive while the
+# cold cell computes join its flight, so the largest batch exceeds 1), then
+# require that the idle daemon holds no program, SIGTERM it and require a
+# clean drain (exit 0). The serve race pass by name keeps the flights (their
+# coalescing, admission, drain and program release), the bounded response
+# cache and the scrape paths visible on their own.
 go build -o "$smoke/ignite-serve" ./cmd/ignite-serve
 go build -o "$smoke/ignite-load" ./cmd/ignite-load
-go test -race -run 'TestServerIntegration|TestServerReleasesIdlePrograms|TestBatcher|TestInstrumentsConcurrentScrape' \
+go test -race -run 'TestServerIntegration|TestServerReleasesIdlePrograms|TestServerResponseCacheBounded|TestBatcher|TestInstrumentsConcurrentScrape' \
   ./internal/serve ./internal/obs
 (
   cd "$smoke"
@@ -107,6 +110,7 @@ go test -race -run 'TestServerIntegration|TestServerReleasesIdlePrograms|TestBat
   test -s load-smoke.json
   grep -q '"kind": "ignite.load-report"' load-smoke.json
   grep -q '"errors": 0,' load-smoke.json
+  python3 -c 'import json, sys; sys.exit(json.load(open("load-smoke.json"))["serverSide"]["maxBatchSize"] <= 1)'
   curl -sf "http://127.0.0.1:$port/healthz" | grep -q '"programs":0'
   kill -TERM "$serve_pid"
   wait "$serve_pid"   # non-zero (unclean drain) fails the build via set -e
