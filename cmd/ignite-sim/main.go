@@ -9,9 +9,7 @@
 //	ignite-sim -fn Auth-G -config ignite -out results/   # JSON metric snapshot
 //	ignite-sim -show-config
 //
-// The IGNITE_FAULTS environment variable arms deterministic fault injection
-// (see internal/faults) on the run. Simulation failures exit 1; usage
-// errors exit 2.
+// Simulation failures exit 1; usage errors exit 2.
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 	"time"
 
 	"ignite/internal/experiments"
-	"ignite/internal/faults"
 	"ignite/internal/lukewarm"
 	"ignite/internal/obs"
 	"ignite/internal/sim"
@@ -38,11 +35,6 @@ func main() {
 	outFlag := flag.String("out", "", "directory for the run's machine-readable JSON metric document")
 	cyclesFlag := flag.Uint64("max-cycles", 0, "per-invocation engine cycle budget (0 = unlimited)")
 	flag.Parse()
-
-	plan, err := faults.FromEnvSpec(os.Getenv(faults.EnvVar))
-	if err != nil {
-		fatalCode(2, err)
-	}
 
 	switch {
 	case *showCfg:
@@ -61,13 +53,13 @@ func main() {
 			fmt.Printf("  %s\n", k)
 		}
 	default:
-		runOne(*fnFlag, *cfgFlag, *modeFlag, *outFlag, *cyclesFlag, plan)
+		runOne(*fnFlag, *cfgFlag, *modeFlag, *outFlag, *cyclesFlag)
 	}
 }
 
 // runOne simulates a single (function, configuration) cell and prints its
 // statistics; with -out it also exports the cell's full metric snapshot.
-func runOne(fn, cfgName, modeName, dir string, maxCycles uint64, plan *faults.Plan) {
+func runOne(fn, cfgName, modeName, dir string, maxCycles uint64) {
 	spec, err := workload.ByName(fn)
 	if err != nil {
 		fatalCode(2, err)
@@ -77,11 +69,7 @@ func runOne(fn, cfgName, modeName, dir string, maxCycles uint64, plan *faults.Pl
 		mode = lukewarm.BackToBack
 	}
 
-	opts := []sim.Option{sim.WithFaults(plan)}
-	if maxCycles > 0 {
-		opts = append(opts, sim.WithMaxCycles(maxCycles))
-	}
-	setup, err := sim.New(spec, sim.Kind(cfgName), opts...)
+	setup, err := sim.New(spec, sim.Kind(cfgName), sim.WithMaxCycles(maxCycles))
 	if err != nil {
 		fatalCode(2, err)
 	}

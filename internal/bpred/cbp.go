@@ -37,9 +37,6 @@ func (c *CBP) Bimodal() *Bimodal { return c.bim }
 // TAGE exposes the tagged component.
 func (c *CBP) TAGE() *TAGE { return c.tage }
 
-// Loop exposes the loop predictor.
-func (c *CBP) Loop() *LoopPredictor { return c.loop }
-
 // Stats returns prediction statistics.
 func (c *CBP) Stats() *CBPStats { return &c.stat }
 

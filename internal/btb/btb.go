@@ -149,9 +149,6 @@ func (b *BTB) EnableTagging() { b.tagging = true }
 // SetVM switches the currently executing VM context.
 func (b *BTB) SetVM(id uint16) { b.currentVM = id }
 
-// CurrentVM returns the executing VM's ID.
-func (b *BTB) CurrentVM() uint16 { return b.currentVM }
-
 func (b *BTB) index(pc uint64) (set uint64, tag uint64) {
 	w := pc >> 2 // instruction-aligned
 	set = w & b.setMask

@@ -154,9 +154,6 @@ func DefaultHierarchy(tracker Tracker) *Hierarchy {
 // Stats returns the hierarchy-level statistics.
 func (h *Hierarchy) Stats() *HierStats { return &h.stats }
 
-// SetTracker installs (or clears) the traffic tracker.
-func (h *Hierarchy) SetTracker(t Tracker) { h.tracker = t }
-
 // insertL2 fills the L2 and maintains inclusion: the L2 is inclusive of
 // both L1s, so a line displaced from the L2 must be dropped from the L1s
 // too (back-invalidation). Without this, a hot line resident in the L1-I —

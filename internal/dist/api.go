@@ -9,23 +9,22 @@
 // worker pulls queued cells from the busiest queue, so a straggler
 // workload cannot serialize the sweep.
 //
-// The wire API follows internal/serve's posture: versioned request and
-// response shapes, strict decoding (unknown fields and foreign schema
-// versions are rejected), and a structured error envelope on every
-// non-2xx response whose Retryable field — surfaced coordinator-side as a
-// Transient() error — feeds the experiment scheduler's existing
-// retry/backoff machinery.
+// The wire API shares internal/serve's rules through internal/wire:
+// versioned request and response shapes, strict decoding (unknown fields,
+// trailing data and foreign schema versions are rejected), and a
+// structured error envelope on every non-2xx response whose Retryable
+// field — surfaced coordinator-side as a Transient() error — feeds the
+// experiment scheduler's existing retry/backoff machinery.
 package dist
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 
 	"ignite/internal/experiments"
 	"ignite/internal/lukewarm"
 	"ignite/internal/sim"
+	"ignite/internal/wire"
 	"ignite/internal/workload"
 )
 
@@ -74,23 +73,22 @@ func (r TaskRequest) CellSpec() experiments.CellSpec {
 	return experiments.CellSpec{Workload: r.Workload, Config: r.Config, Tweaks: r.Tweaks, Mode: r.Mode}
 }
 
-// TaskResponse answers one computed cell. Cell is the experiment layer's
-// CellPayload JSON, guarded by the IEEE CRC-32 of its raw bytes — the same
-// record discipline the content-addressed store uses — so a payload damaged
-// anywhere between the worker's encoder and the coordinator's decoder is
-// detected, not cached.
+// TaskResponse answers one computed cell. Its frame holds the experiment
+// layer's CellPayload JSON under a CRC — the same wire.Frame the
+// content-addressed store's records carry — so a payload damaged anywhere
+// between the worker's encoder and the coordinator's decoder is detected,
+// not cached.
 type TaskResponse struct {
-	SchemaVersion int             `json:"schemaVersion"`
-	Key           string          `json:"key"`
-	Cached        bool            `json:"cached"`
-	CRC           uint32          `json:"crc"`
-	Cell          json.RawMessage `json:"cell"`
+	SchemaVersion int    `json:"schemaVersion"`
+	Key           string `json:"key"`
+	Cached        bool   `json:"cached"`
+	wire.Frame
 }
 
 // DecodePayload verifies the response's CRC and decodes the cell payload.
 func (r TaskResponse) DecodePayload() (experiments.CellPayload, error) {
 	var p experiments.CellPayload
-	if crc32.ChecksumIEEE(r.Cell) != r.CRC {
+	if !r.Valid() {
 		return p, fmt.Errorf("dist: cell %q: payload CRC mismatch (damaged in transit)", r.Key)
 	}
 	if err := json.Unmarshal(r.Cell, &p); err != nil {
@@ -110,76 +108,26 @@ type HealthResponse struct {
 	TasksDone     uint64 `json:"tasksDone"`
 }
 
-// Error codes of the dist v1 API, mapped to HTTP statuses exactly like
-// internal/serve's envelope.
-const (
-	CodeBadRequest        = "bad-request"
-	CodeUnsupportedSchema = "unsupported-schema"
-	CodeKeyMismatch       = "key-mismatch"
-	CodeShuttingDown      = "shutting-down"
-	CodeInternal          = "internal"
-)
-
-// ErrorEnvelope is the structured error answer of every non-2xx response.
-// Retryable tells the coordinator whether another attempt (on this or
-// another worker) can succeed; it surfaces as a Transient() error so the
-// experiment scheduler's retry machinery applies unchanged.
-type ErrorEnvelope struct {
-	SchemaVersion int    `json:"schemaVersion"`
-	Code          string `json:"code"`
-	Message       string `json:"message"`
-	Retryable     bool   `json:"retryable"`
-}
-
-// Error implements error.
-func (e *ErrorEnvelope) Error() string {
-	return fmt.Sprintf("dist: %s: %s", e.Code, e.Message)
-}
-
-// HTTPStatus maps the envelope's code onto its HTTP status.
-func (e *ErrorEnvelope) HTTPStatus() int {
-	switch e.Code {
-	case CodeBadRequest, CodeUnsupportedSchema, CodeKeyMismatch:
-		return 400
-	case CodeShuttingDown:
-		return 503
-	default:
-		return 500
-	}
-}
-
-// envelope builds an error envelope.
-func envelope(code, format string, args ...any) *ErrorEnvelope {
-	return &ErrorEnvelope{
-		SchemaVersion: SchemaVersion,
-		Code:          code,
-		Message:       fmt.Sprintf(format, args...),
-		Retryable:     code == CodeShuttingDown,
-	}
-}
-
 // ParseTaskRequest decodes and validates a task body. Unknown fields,
-// foreign schema versions and tweaks the engine cannot build fail loudly,
-// same as serve's v1 parsing.
-func ParseTaskRequest(body []byte) (TaskRequest, *ErrorEnvelope) {
+// trailing data, foreign schema versions and tweaks the engine cannot build
+// fail loudly, same as serve's v1 parsing.
+func ParseTaskRequest(body []byte) (TaskRequest, *wire.Envelope) {
 	var req TaskRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, envelope(CodeBadRequest, "malformed task: %v", err)
+	if err := wire.DecodeRequest(body, &req); err != nil {
+		return req, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "malformed task: %v", err)
 	}
 	if req.SchemaVersion != SchemaVersion {
-		return req, envelope(CodeUnsupportedSchema,
+		return req, wire.Errorf(SchemaVersion, wire.CodeUnsupportedSchema,
 			"task schema version %d, this worker speaks %d", req.SchemaVersion, SchemaVersion)
 	}
 	if req.Key == "" {
-		return req, envelope(CodeBadRequest, "missing cell key")
+		return req, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "missing cell key")
 	}
 	if req.Workload.Name == "" {
-		return req, envelope(CodeBadRequest, "missing workload specification")
+		return req, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "missing workload specification")
 	}
 	if err := req.Tweaks.Validate(); err != nil {
-		return req, envelope(CodeBadRequest, "tweaks: %v", err)
+		return req, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "tweaks: %v", err)
 	}
 	return req, nil
 }

@@ -16,6 +16,7 @@ import (
 	"ignite/internal/experiments"
 	"ignite/internal/faults"
 	"ignite/internal/obs"
+	"ignite/internal/wire"
 )
 
 const (
@@ -298,10 +299,10 @@ func (c *Coordinator) home(key string) int {
 // dist layer absorbs infrastructure weather so it never surfaces as a cell
 // retry in the experiment's result document.
 func (c *Coordinator) Remote() experiments.RemoteFunc {
-	return func(ctx context.Context, cs experiments.CellSpec, env experiments.CellEnv) (experiments.CellPayload, error) {
+	return func(ctx context.Context, key string, cs experiments.CellSpec, env experiments.CellEnv) (experiments.CellPayload, error) {
 		req := TaskRequest{
 			SchemaVersion: SchemaVersion,
-			Key:           cs.Key(),
+			Key:           key,
 			Workload:      cs.Workload,
 			Config:        cs.Config,
 			Tweaks:        cs.Tweaks,
@@ -606,7 +607,7 @@ func (c *Coordinator) call(ctx context.Context, t *task, w *workerState) (experi
 		return experiments.CellPayload{}, &WorkerError{Worker: w.addr, Err: withCause(ctx, err)}
 	}
 	if resp.StatusCode != http.StatusOK {
-		var env ErrorEnvelope
+		var env wire.Envelope
 		if jerr := json.Unmarshal(data, &env); jerr == nil && env.Code != "" {
 			if env.Retryable {
 				return experiments.CellPayload{}, &WorkerError{Worker: w.addr, Err: &env}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"ignite/internal/lukewarm"
 	"ignite/internal/obs"
 	"ignite/internal/sim"
+	"ignite/internal/wire"
 	"ignite/internal/workload"
 )
 
@@ -188,12 +190,12 @@ func TestWorkerRejectsKeyMismatch(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
-	var env ErrorEnvelope
+	var env wire.Envelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Code != CodeKeyMismatch || env.Retryable {
-		t.Errorf("envelope = %+v, want permanent %s", env, CodeKeyMismatch)
+	if env.Code != wire.CodeKeyMismatch || env.Retryable {
+		t.Errorf("envelope = %+v, want permanent %s", env, wire.CodeKeyMismatch)
 	}
 }
 
@@ -227,14 +229,14 @@ func TestWorkerRejectsBadTweaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env ErrorEnvelope
+		var env wire.Envelope
 		err = json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusBadRequest || env.Code != CodeBadRequest || env.Retryable {
-			t.Errorf("%+v: status %d, envelope %+v, want 400 and a permanent %s", tw, resp.StatusCode, env, CodeBadRequest)
+		if resp.StatusCode != http.StatusBadRequest || env.Code != wire.CodeBadRequest || env.Retryable {
+			t.Errorf("%+v: status %d, envelope %+v, want 400 and a permanent %s", tw, resp.StatusCode, env, wire.CodeBadRequest)
 		}
 	}
 }
@@ -317,7 +319,7 @@ func TestCoordinatorStealing(t *testing.T) {
 		wg.Add(1)
 		go func(i int, cs experiments.CellSpec) {
 			defer wg.Done()
-			_, errs[i] = remote(context.Background(), cs, experiments.CellEnv{})
+			_, errs[i] = remote(context.Background(), cs.Key(), cs, experiments.CellEnv{})
 		}(i, cs)
 	}
 	wg.Wait()
@@ -355,7 +357,7 @@ func TestDrainingWorkerShedsRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	_, rerr := coord.Remote()(context.Background(), cs, experiments.CellEnv{})
+	_, rerr := coord.Remote()(context.Background(), cs.Key(), cs, experiments.CellEnv{})
 	var we *WorkerError
 	if !errors.As(rerr, &we) || !faults.IsTransient(rerr) {
 		t.Fatalf("draining worker error = %v, want transient *WorkerError", rerr)
@@ -377,7 +379,8 @@ func TestDrainingWorkerShedsRetryable(t *testing.T) {
 }
 
 // TestParseTaskRequestStrict pins the wire API's strictness: unknown
-// fields, foreign schema versions and missing identities are rejected.
+// fields, trailing data, foreign schema versions and missing identities are
+// rejected.
 func TestParseTaskRequestStrict(t *testing.T) {
 	spec, err := workload.ByName("Fib-G")
 	if err != nil {
@@ -403,8 +406,11 @@ func TestParseTaskRequestStrict(t *testing.T) {
 		"missing key": func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"key":"k"`), []byte(`"key":""`), 1)
 		},
+		"trailing data": func(b []byte) []byte {
+			return append(b, []byte(` trailing`)...)
+		},
 	} {
-		if _, env := ParseTaskRequest(mangle(body)); env == nil {
+		if _, env := ParseTaskRequest(mangle(bytes.Clone(body))); env == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -482,7 +488,7 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	_, rerr := coord.Remote()(ctx, cs, experiments.CellEnv{})
+	_, rerr := coord.Remote()(ctx, cs.Key(), cs, experiments.CellEnv{})
 	if !errors.Is(rerr, context.Canceled) {
 		t.Fatalf("canceled cell returned %v, want context.Canceled", rerr)
 	}
@@ -537,7 +543,7 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 	}
 	res1 := make(chan out, 1)
 	go func() {
-		p, err := remote(context.Background(), specs[0], experiments.CellEnv{})
+		p, err := remote(context.Background(), specs[0].Key(), specs[0], experiments.CellEnv{})
 		res1 <- out{p, err}
 	}()
 	var holder *Worker
@@ -558,7 +564,7 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 	if r1.err != nil {
 		t.Fatalf("cell 0 failed despite failover: %v", r1.err)
 	}
-	p2, err := remote(context.Background(), specs[1], experiments.CellEnv{})
+	p2, err := remote(context.Background(), specs[1].Key(), specs[1], experiments.CellEnv{})
 	if err != nil {
 		t.Fatalf("cell 1 failed despite failover: %v", err)
 	}
@@ -566,7 +572,7 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 	// Byte-identical to a local compute of the same cells.
 	local := experiments.NewCellCache()
 	for i, p := range []experiments.CellPayload{r1.p, p2} {
-		served, _, err := local.Invoke(specs[i], experiments.CellEnv{})
+		served, _, err := local.Invoke(specs[i].Key(), specs[i], experiments.CellEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,6 +587,94 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 	// guaranteed.
 	if _, _, failovers := coord.Stats(); failovers < 1 {
 		t.Errorf("failovers = %d, want >= 1 (the in-flight cell was shed by the draining worker)", failovers)
+	}
+}
+
+// gatedBacking holds every cell load until release closes, after a send on
+// entered: a task it holds has been admitted and is inside the handler.
+type gatedBacking struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedBacking) Load(string) (experiments.CellPayload, bool) {
+	g.entered <- struct{}{}
+	<-g.release
+	return experiments.CellPayload{}, false
+}
+
+func (g *gatedBacking) Save(string, experiments.CellPayload) {}
+
+// TestWorkerDrainWaitsForAdmittedTask is the lossless drain at the worker's
+// level: Drain returns only after a task admitted before the drain began has
+// answered 200, while a task that arrives during the drain is shed with a
+// retryable 503 that carries the Retry-After hint.
+func TestWorkerDrainWaitsForAdmittedTask(t *testing.T) {
+	w := NewWorker()
+	gate := &gatedBacking{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	w.cache.SetBacking(gate)
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release() // before srv.Close, which waits for the held handler
+
+	spec, err := workload.ByName("Fib-G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.TargetInstr /= 8
+	cs := experiments.CellSpec{Workload: spec, Config: sim.KindNL, Mode: lukewarm.Interleaved}
+	body, _ := json.Marshal(TaskRequest{SchemaVersion: SchemaVersion, Key: cs.Key(),
+		Workload: cs.Workload, Config: cs.Config, Mode: cs.Mode})
+	post := func() (*http.Response, error) {
+		return http.Post(srv.URL+PathTask, "application/json", bytes.NewReader(body))
+	}
+
+	status := make(chan int, 1)
+	go func() {
+		resp, err := post()
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-gate.entered // the first task is admitted and held
+
+	w.BeginDrain()
+	drained := make(chan struct{})
+	go func() {
+		w.Drain()
+		close(drained)
+	}()
+
+	resp, err := post()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env wire.Envelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusServiceUnavailable || env.Code != wire.CodeShuttingDown ||
+		!env.Retryable || resp.Header.Get("Retry-After") != strconv.Itoa(wire.RetryAfterSec) {
+		t.Errorf("task during drain: status %d, Retry-After %q, envelope %+v (err %v), want a retryable 503 %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), env, err, wire.CodeShuttingDown)
+	}
+	select {
+	case <-drained:
+		t.Fatal("Drain returned while an admitted task was still running")
+	default:
+	}
+
+	release()
+	<-drained
+	if n := w.done.Load(); n != 1 {
+		t.Errorf("Drain returned with %d task(s) answered, want 1", n)
+	}
+	if got := <-status; got != http.StatusOK {
+		t.Errorf("admitted task answered %d, want 200", got)
 	}
 }
 
@@ -634,14 +728,14 @@ func TestStalledWorkerFailsOver(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
-	got, err := coord.Remote()(ctx, cs, experiments.CellEnv{})
+	got, err := coord.Remote()(ctx, cs.Key(), cs, experiments.CellEnv{})
 	if err != nil {
 		t.Fatalf("cell on a stalled worker failed: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed >= 5*time.Second {
 		t.Errorf("cell took %v: the prober never rescued it from the stalled worker", elapsed)
 	}
-	served, _, err := experiments.NewCellCache().Invoke(cs, experiments.CellEnv{})
+	served, _, err := experiments.NewCellCache().Invoke(cs.Key(), cs, experiments.CellEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +777,7 @@ func TestProberReadmitsRestartedWorker(t *testing.T) {
 	}
 	spec.TargetInstr /= 8
 	cs := experiments.CellSpec{Workload: spec, Config: sim.KindNL, Mode: lukewarm.Interleaved}
-	if _, err := coord.Remote()(context.Background(), cs, experiments.CellEnv{}); err == nil {
+	if _, err := coord.Remote()(context.Background(), cs.Key(), cs, experiments.CellEnv{}); err == nil {
 		t.Fatal("cell against a dead fleet succeeded")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -713,7 +807,7 @@ func TestProberReadmitsRestartedWorker(t *testing.T) {
 	if h.Readmits < 1 || h.Probes < 1 {
 		t.Errorf("readmits = %d, probes = %d, want both >= 1", h.Readmits, h.Probes)
 	}
-	if _, err := coord.Remote()(context.Background(), cs, experiments.CellEnv{}); err != nil {
+	if _, err := coord.Remote()(context.Background(), cs.Key(), cs, experiments.CellEnv{}); err != nil {
 		t.Errorf("cell after re-admission failed: %v", err)
 	}
 }

@@ -7,15 +7,18 @@ import (
 	"testing"
 )
 
-// FuzzParseTaskRequest: ParseTaskRequest never panics, and a request it
-// accepts marshals and re-parses to an equal value — the cell a worker
-// computes is the cell the coordinator asked for. Seeds live in
-// testdata/fuzz/FuzzParseTaskRequest.
+// FuzzParseTaskRequest: ParseTaskRequest never panics, a body it accepts
+// is one valid JSON value, and a request it accepts marshals and re-parses
+// to an equal value — the cell a worker computes is the cell the
+// coordinator asked for. Seeds live in testdata/fuzz/FuzzParseTaskRequest.
 func FuzzParseTaskRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, env := ParseTaskRequest(body)
 		if env != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("accepted a body that is not one JSON value: %q", body)
 		}
 		again, err := json.Marshal(req)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -17,6 +16,7 @@ import (
 	"ignite/internal/experiments"
 	"ignite/internal/faults"
 	"ignite/internal/obs"
+	"ignite/internal/wire"
 )
 
 // ReadyPrefix is the line a spawned worker prints on stdout once it is
@@ -34,8 +34,10 @@ type Worker struct {
 	cache    *experiments.CellCache
 	inflight atomic.Int64
 	done     atomic.Uint64
-	draining atomic.Bool
-	wg       sync.WaitGroup
+
+	mu       sync.Mutex
+	draining bool           // guarded by mu
+	wg       sync.WaitGroup // one per admitted task, added under mu
 }
 
 // NewWorker returns a worker over a fresh cell cache.
@@ -47,7 +49,9 @@ func NewWorker() *Worker {
 // tasks are refused with a retryable shutting-down envelope (the
 // coordinator re-runs them elsewhere) while in-flight tasks keep running.
 func (w *Worker) BeginDrain() {
-	w.draining.Store(true)
+	w.mu.Lock()
+	w.draining = true
+	w.mu.Unlock()
 }
 
 // Drain begins draining and blocks until in-flight tasks finish.
@@ -64,43 +68,33 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(rw http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	rw.Write(append(data, '\n'))
-}
-
-func writeError(rw http.ResponseWriter, env *ErrorEnvelope) {
-	writeJSON(rw, env.HTTPStatus(), env)
-}
-
 func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(rw, envelope(CodeBadRequest, "%s needs POST", PathTask))
+		wire.WriteError(rw, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "%s needs POST", PathTask))
 		return
 	}
-	if w.draining.Load() {
-		writeError(rw, envelope(CodeShuttingDown, "worker is draining"))
+	// The check and the count share mu with BeginDrain, so a Drain either
+	// refuses the task or waits for it.
+	w.mu.Lock()
+	if w.draining {
+		w.mu.Unlock()
+		wire.WriteError(rw, wire.Errorf(SchemaVersion, wire.CodeShuttingDown, "worker is draining"))
 		return
 	}
 	w.wg.Add(1)
+	w.mu.Unlock()
 	defer w.wg.Done()
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
 
 	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, 16<<20))
 	if err != nil {
-		writeError(rw, envelope(CodeBadRequest, "read body: %v", err))
+		wire.WriteError(rw, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "read body: %v", err))
 		return
 	}
 	req, env := ParseTaskRequest(body)
 	if env != nil {
-		writeError(rw, env)
+		wire.WriteError(rw, env)
 		return
 	}
 	cs := req.CellSpec()
@@ -109,36 +103,38 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	// and worker binaries — the one failure mode that could silently
 	// poison a sweep's store with wrong-but-well-formed results.
 	if got := cs.Key(); got != req.Key {
-		writeError(rw, envelope(CodeKeyMismatch,
+		wire.WriteError(rw, wire.Errorf(SchemaVersion, wire.CodeKeyMismatch,
 			"coordinator key %q, this worker derives %q (mixed binary versions?)", req.Key, got))
 		return
 	}
-	cell, cached, err := w.cache.Invoke(cs, experiments.CellEnv{Checks: req.Checks, MaxCycles: req.MaxCycles})
+	cell, cached, err := w.cache.Invoke(req.Key, cs, experiments.CellEnv{Checks: req.Checks, MaxCycles: req.MaxCycles})
 	if err != nil {
-		writeError(rw, envelope(CodeInternal, "cell %s/%s: %v", req.Workload.Name, req.Config, err))
+		wire.WriteError(rw, wire.Errorf(SchemaVersion, wire.CodeInternal, "cell %s/%s: %v", req.Workload.Name, req.Config, err))
 		return
 	}
 	payload, err := json.Marshal(cell)
 	if err != nil {
-		writeError(rw, envelope(CodeInternal, "encode cell: %v", err))
+		wire.WriteError(rw, wire.Errorf(SchemaVersion, wire.CodeInternal, "encode cell: %v", err))
 		return
 	}
+	frame, _ := wire.NewFrame(payload) // json.Marshal output is one JSON value
 	w.done.Add(1)
-	writeJSON(rw, http.StatusOK, TaskResponse{
+	wire.WriteJSON(rw, http.StatusOK, TaskResponse{
 		SchemaVersion: SchemaVersion,
 		Key:           req.Key,
 		Cached:        cached,
-		CRC:           crc32.ChecksumIEEE(payload),
-		Cell:          payload,
+		Frame:         frame,
 	})
 }
 
 func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
 	status := "ok"
-	if w.draining.Load() {
+	w.mu.Lock()
+	if w.draining {
 		status = "draining"
 	}
-	writeJSON(rw, http.StatusOK, HealthResponse{
+	w.mu.Unlock()
+	wire.WriteJSON(rw, http.StatusOK, HealthResponse{
 		SchemaVersion: SchemaVersion,
 		Status:        status,
 		InFlight:      int(w.inflight.Load()),

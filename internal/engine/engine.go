@@ -198,13 +198,6 @@ func (e *Engine) AddCompanion(c Companion) {
 	}
 }
 
-// ClearCompanions detaches all companions.
-func (e *Engine) ClearCompanions() {
-	e.companions = e.companions[:0]
-	e.fetchComps = e.fetchComps[:0]
-	e.tickComps = e.tickComps[:0]
-}
-
 // Thrash models interleaved executions of other functions: all caches, the
 // BTB, the ITLB and the TAGE tables are flushed and the bimodal predictor
 // is overwritten with random state (the paper's Section 5.3 methodology).

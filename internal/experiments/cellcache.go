@@ -85,11 +85,11 @@ type CellPayload struct {
 }
 
 // RemoteFunc computes one cell out of process (a distributed-sweep
-// coordinator shipping the cell to a worker). A transient error (anything
-// exposing Transient() bool, e.g. a worker connection failure) is not
-// cached: the entry is evicted so the scheduler's retry machinery gets a
-// fresh attempt instead of the memoized failure.
-type RemoteFunc func(ctx context.Context, cs CellSpec, env CellEnv) (CellPayload, error)
+// coordinator shipping the cell to a worker); key is cs.Key(). A transient
+// error (anything exposing Transient() bool, e.g. a worker connection
+// failure) is not cached: the entry is evicted so the scheduler's retry
+// machinery gets a fresh attempt instead of the memoized failure.
+type RemoteFunc func(ctx context.Context, key string, cs CellSpec, env CellEnv) (CellPayload, error)
 
 // SetBacking installs a persistent store behind the cache. Must be set
 // before the first cell request.
@@ -181,15 +181,15 @@ func (cc *CellCache) Programs() int {
 	return len(cc.progs)
 }
 
-// cell returns the simulated cell cs, computing it at most once per unique
-// key. The second return reports whether the cell was served from the cache
-// (an entry another request already created). ctx bounds remote computation
-// only — local simulation is pure CPU and runs to completion. A panic during
-// computation is recovered into a *faults.PanicError and cached as the
-// entry's error — without that, sync.Once would mark the entry done and
-// serve a nil cell to every later requester.
-func (cc *CellCache) cell(ctx context.Context, cs CellSpec, env CellEnv) (*CellPayload, bool, error) {
-	key := cs.Key()
+// cell returns the simulated cell cs, whose key is cs.Key(), computing it
+// at most once per unique key. The second return reports whether the cell
+// was served from the cache (an entry another request already created). ctx
+// bounds remote computation only — local simulation is pure CPU and runs to
+// completion. A panic during computation is recovered into a
+// *faults.PanicError and cached as the entry's error — without that,
+// sync.Once would mark the entry done and serve a nil cell to every later
+// requester.
+func (cc *CellCache) cell(ctx context.Context, key string, cs CellSpec, env CellEnv) (*CellPayload, bool, error) {
 	cc.mu.Lock()
 	e, hit := cc.cells[key]
 	if hit {
@@ -217,7 +217,7 @@ func (cc *CellCache) cell(ctx context.Context, cs CellSpec, env CellEnv) (*CellP
 		}
 		var p CellPayload
 		if cc.remote != nil {
-			p, e.err = cc.remote(ctx, cs, env)
+			p, e.err = cc.remote(ctx, key, cs, env)
 		} else {
 			p, e.err = cc.compute(cs, env)
 		}

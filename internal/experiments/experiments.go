@@ -382,7 +382,7 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 			return err
 		}
 		cs := CellSpec{Workload: spec, Config: rc.Kind, Tweaks: rc.Tweak, Mode: rc.Mode}
-		c, cached, err := cache.cell(cctx, cs, env)
+		c, cached, err := cache.cell(cctx, cs.Key(), cs, env)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", spec.Name, rc.Name, err)
 		}

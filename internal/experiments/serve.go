@@ -106,11 +106,12 @@ type CellEnv struct {
 	MaxCycles uint64
 }
 
-// Invoke computes (or serves from cache) the cell identified by cs,
+// Invoke computes (or serves from cache) the cell cs, whose key is
+// cs.Key() (the caller already holds it, so the cell is hashed once),
 // single-flight: concurrent Invokes of one key share one simulation. The
 // second return reports whether the cell was served from the cache. This is
 // the serving daemon's and the dist worker's entry point into the same
 // memoized cells the experiment matrix runs on.
-func (cc *CellCache) Invoke(cs CellSpec, env CellEnv) (*CellPayload, bool, error) {
-	return cc.cell(context.Background(), cs, env)
+func (cc *CellCache) Invoke(key string, cs CellSpec, env CellEnv) (*CellPayload, bool, error) {
+	return cc.cell(context.Background(), key, cs, env)
 }

@@ -59,8 +59,7 @@ const (
 )
 
 // Site identifies one injection point: a (workload, config) cell inside an
-// experiment. Empty fields are legitimate (a single-cell sim.Setup run has
-// no experiment); rules match them with "" or the "*" wildcard.
+// experiment. Rules match an empty field with "" or the "*" wildcard.
 type Site struct {
 	Experiment string
 	Workload   string

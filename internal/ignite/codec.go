@@ -240,9 +240,6 @@ func (e *Encoder) Encode(rec Record) (bool, error) {
 // Finish flushes the final partial byte.
 func (e *Encoder) Finish() { e.w.Flush() }
 
-// Compact returns the number of compact (delta-encoded) records.
-func (e *Encoder) Compact() int { return e.CompactRecords }
-
 // BitsWritten returns the stream length in bits.
 func (e *Encoder) BitsWritten() int { return e.w.BitsWritten() }
 

@@ -65,9 +65,6 @@ func (r *Recorder) Stop() {
 	}
 }
 
-// Enabled reports whether the recorder is currently active.
-func (r *Recorder) Enabled() bool { return r.enabled }
-
 // Records returns the number of entries recorded so far.
 func (r *Recorder) Records() int { return r.enc.Records }
 

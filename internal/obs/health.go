@@ -14,18 +14,3 @@ type RunHealth struct {
 	Failed    atomic.Int64
 	Skipped   atomic.Int64
 }
-
-// Register exposes the counters through a metrics registry as read-through
-// counters, so a run snapshot carries its fault-tolerance telemetry next to
-// the simulation metrics.
-func (h *RunHealth) Register(reg *Registry) {
-	l := L("component", "run")
-	counter := func(name string, v *atomic.Int64) {
-		reg.CounterFunc(name, l, func() uint64 { return uint64(v.Load()) })
-	}
-	counter("run.cell_panics", &h.Panics)
-	counter("run.cell_retries", &h.Retries)
-	counter("run.cell_deadlines", &h.Deadlines)
-	counter("run.cells_failed", &h.Failed)
-	counter("run.cells_skipped", &h.Skipped)
-}

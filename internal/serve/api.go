@@ -5,21 +5,21 @@
 // cache), and answers with per-invocation latency/CPI/traffic results.
 //
 // This file defines the versioned v1 wire API. Every request and response
-// carries an explicit SchemaVersion; unknown versions are rejected with a
-// structured error envelope, the same posture obs.DecodeDocument takes for
-// result documents. The server handlers, ignite-load, and the tests all
-// share these types — there is no ad-hoc map shaping on either side of the
-// wire.
+// carries an explicit SchemaVersion; unknown versions are rejected with
+// internal/wire's structured error envelope, the same posture
+// obs.DecodeDocument takes for result documents. The server handlers,
+// ignite-load, and the tests all share these types — there is no ad-hoc map
+// shaping on either side of the wire.
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"ignite/internal/ignite"
 	"ignite/internal/lukewarm"
 	"ignite/internal/sim"
+	"ignite/internal/wire"
 )
 
 // SchemaVersion is the current version of the serving wire API. Bump it on
@@ -59,13 +59,21 @@ type InvokeRequest struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 }
 
-// canonical returns the request's canonical form, the response cache's key:
-// its JSON encoding without timeoutMs, which shapes the deadline but not
-// the answer.
-func (r InvokeRequest) canonical() string {
-	r.TimeoutMs = 0
-	enc, _ := json.Marshal(r) // strings, ints and bools: Marshal cannot fail
-	return string(enc)
+// respKey is the response cache's key: the parsed request without
+// timeoutMs, which shapes the deadline but not the answer, and with its
+// tweaks dereferenced, so requests that resolve to one answer compare equal.
+// The mode keeps its spelling, which the response echoes.
+type respKey struct {
+	function, config, mode string
+	tweaks                 TweakSpec
+}
+
+func (r InvokeRequest) canonical() respKey {
+	k := respKey{function: r.Function, config: r.Config, mode: r.Mode}
+	if r.Tweaks != nil {
+		k.tweaks = *r.Tweaks
+	}
+	return k
 }
 
 // TweakSpec is the JSON mirror of sim.Tweaks with explicit field names.
@@ -193,79 +201,22 @@ func ResultFrom(res *lukewarm.Result) InvocationResult {
 	}
 }
 
-// Error codes of the v1 API.
-const (
-	CodeBadRequest        = "bad-request"
-	CodeUnsupportedSchema = "unsupported-schema"
-	CodeUnknownFunction   = "unknown-function"
-	CodeUnknownConfig     = "unknown-config"
-	CodeUnknownMode       = "unknown-mode"
-	CodeOverloaded        = "overloaded"
-	CodeShuttingDown      = "shutting-down"
-	CodeDeadline          = "deadline"
-	CodeInternal          = "internal"
-)
-
-// ErrorEnvelope is the structured error answer of every non-2xx response.
-// Retryable tells clients whether backing off and retrying can succeed
-// (shed load, shutdown, deadline) or the request itself is wrong.
-type ErrorEnvelope struct {
-	SchemaVersion int    `json:"schemaVersion"`
-	Code          string `json:"code"`
-	Message       string `json:"message"`
-	Retryable     bool   `json:"retryable"`
-}
-
-// Error implements error so an envelope can travel through error returns.
-func (e *ErrorEnvelope) Error() string {
-	return fmt.Sprintf("serve: %s: %s", e.Code, e.Message)
-}
-
-// HTTPStatus maps the envelope's code onto its HTTP status.
-func (e *ErrorEnvelope) HTTPStatus() int {
-	switch e.Code {
-	case CodeBadRequest, CodeUnsupportedSchema:
-		return 400
-	case CodeUnknownFunction, CodeUnknownConfig, CodeUnknownMode:
-		return 404
-	case CodeOverloaded:
-		return 429
-	case CodeShuttingDown:
-		return 503
-	case CodeDeadline:
-		return 504
-	default:
-		return 500
-	}
-}
-
-// envelope builds an error envelope.
-func envelope(code, format string, args ...any) *ErrorEnvelope {
-	return &ErrorEnvelope{
-		SchemaVersion: SchemaVersion,
-		Code:          code,
-		Message:       fmt.Sprintf(format, args...),
-		Retryable:     code == CodeOverloaded || code == CodeShuttingDown || code == CodeDeadline,
-	}
-}
-
-// ParseInvokeRequest decodes and validates a request body. Unknown fields
-// and unknown schema versions are rejected — the v1 API is strict in both
-// directions, so a typo'd field name or a request written for a future
-// schema fails loudly instead of silently simulating the wrong cell.
-func ParseInvokeRequest(body []byte) (InvokeRequest, *ErrorEnvelope) {
+// ParseInvokeRequest decodes and validates a request body. Unknown fields,
+// trailing data (wire.DecodeRequest) and unknown schema versions are
+// rejected — the v1 API is strict in both directions, so a typo'd field
+// name or a request written for a future schema fails loudly instead of
+// silently simulating the wrong cell.
+func ParseInvokeRequest(body []byte) (InvokeRequest, *wire.Envelope) {
 	var req InvokeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, envelope(CodeBadRequest, "malformed request: %v", err)
+	if err := wire.DecodeRequest(body, &req); err != nil {
+		return req, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "malformed request: %v", err)
 	}
 	if req.SchemaVersion != SchemaVersion {
-		return req, envelope(CodeUnsupportedSchema,
+		return req, wire.Errorf(SchemaVersion, wire.CodeUnsupportedSchema,
 			"request schema version %d, this server speaks %d", req.SchemaVersion, SchemaVersion)
 	}
 	if req.Function == "" {
-		return req, envelope(CodeBadRequest, "missing function name")
+		return req, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "missing function name")
 	}
 	return req, nil
 }
@@ -282,7 +233,7 @@ func allKinds() []string {
 
 // ParseKind resolves the wire spelling of a front-end configuration. The
 // empty string defaults to the paper's configuration, ignite.
-func ParseKind(s string) (sim.Kind, *ErrorEnvelope) {
+func ParseKind(s string) (sim.Kind, *wire.Envelope) {
 	if s == "" {
 		return sim.KindIgnite, nil
 	}
@@ -291,18 +242,18 @@ func ParseKind(s string) (sim.Kind, *ErrorEnvelope) {
 			return sim.Kind(k), nil
 		}
 	}
-	return "", envelope(CodeUnknownConfig, "unknown config %q", s)
+	return "", wire.Errorf(SchemaVersion, wire.CodeUnknownConfig, "unknown config %q", s)
 }
 
 // ParseMode resolves the wire spelling of a lukewarm mode.
-func ParseMode(s string) (lukewarm.Mode, *ErrorEnvelope) {
+func ParseMode(s string) (lukewarm.Mode, *wire.Envelope) {
 	switch s {
 	case "", "interleaved":
 		return lukewarm.Interleaved, nil
 	case "back-to-back", "b2b":
 		return lukewarm.BackToBack, nil
 	default:
-		return 0, envelope(CodeUnknownMode, "unknown mode %q (valid: interleaved, back-to-back)", s)
+		return 0, wire.Errorf(SchemaVersion, wire.CodeUnknownMode, "unknown mode %q (valid: interleaved, back-to-back)", s)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"ignite/internal/experiments"
 	"ignite/internal/faults"
 	"ignite/internal/obs"
+	"ignite/internal/wire"
 )
 
 // Batcher defaults; overridable through Config.
@@ -117,21 +118,21 @@ func NewBatcher(cfg BatcherConfig, reg *obs.Registry) *Batcher {
 // is in progress, and blocks until the flight ends, the context expires, or
 // the batcher is shut down. On success it returns the served cell, whether
 // the cell came from the cache, and how many requests shared this
-// computation. Failures come back as *ErrorEnvelope: overloaded when a new
+// computation. Failures come back as *wire.Envelope: overloaded when a new
 // flight would exceed the queue, shutting-down after Close, deadline on
 // context expiry (the flight still completes and warms the cache for a
 // retry), internal for simulation errors.
-func (b *Batcher) Submit(ctx context.Context, key string, spec experiments.CellSpec) (*experiments.CellPayload, bool, int, *ErrorEnvelope) {
+func (b *Batcher) Submit(ctx context.Context, key string, spec experiments.CellSpec) (*experiments.CellPayload, bool, int, *wire.Envelope) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, false, 0, envelope(CodeShuttingDown, "server is draining")
+		return nil, false, 0, wire.Errorf(SchemaVersion, wire.CodeShuttingDown, "server is draining")
 	}
 	f := b.flights[key]
 	if f == nil {
 		if b.waiting.Load() >= int64(b.queue) {
 			b.mu.Unlock()
-			return nil, false, 0, envelope(CodeOverloaded, "admission queue full (%d flights wait for a worker)", b.queue)
+			return nil, false, 0, wire.Errorf(SchemaVersion, wire.CodeOverloaded, "admission queue full (%d flights wait for a worker)", b.queue)
 		}
 		f = &flight{spec: spec, done: make(chan struct{})}
 		b.flights[key] = f
@@ -146,11 +147,11 @@ func (b *Batcher) Submit(ctx context.Context, key string, spec experiments.CellS
 	select {
 	case <-f.done:
 		if f.err != nil {
-			return nil, false, 0, envelope(CodeInternal, "%v", f.err)
+			return nil, false, 0, wire.Errorf(SchemaVersion, wire.CodeInternal, "%v", f.err)
 		}
 		return f.cell, f.cached, f.waiters, nil
 	case <-ctx.Done():
-		return nil, false, 0, envelope(CodeDeadline, "request deadline exceeded: %v", context.Cause(ctx))
+		return nil, false, 0, wire.Errorf(SchemaVersion, wire.CodeDeadline, "request deadline exceeded: %v", context.Cause(ctx))
 	}
 }
 
@@ -171,7 +172,7 @@ func (b *Batcher) fly(key string, f *flight) {
 	defer b.running.Done()
 	b.workers <- struct{}{}
 	b.waiting.Add(-1)
-	cell, cached, err := b.run(f.spec)
+	cell, cached, err := b.run(key, f.spec)
 	<-b.workers
 
 	b.mu.Lock()
@@ -201,10 +202,10 @@ func (b *Batcher) fly(key string, f *flight) {
 // transient-retry — the serving counterpart of the experiment scheduler's
 // supervise loop. Injected faults fire before the cache lookup, so an
 // injected failure can never poison a cached result.
-func (b *Batcher) run(spec experiments.CellSpec) (cell *experiments.CellPayload, cached bool, err error) {
+func (b *Batcher) run(key string, spec experiments.CellSpec) (cell *experiments.CellPayload, cached bool, err error) {
 	site := faults.Site{Experiment: "serve", Workload: spec.Workload.Name, Config: string(spec.Config)}
 	for attempt := 1; ; attempt++ {
-		cell, cached, err = b.attempt(site, spec)
+		cell, cached, err = b.attempt(site, key, spec)
 		if err == nil {
 			return cell, cached, nil
 		}
@@ -217,7 +218,7 @@ func (b *Batcher) run(spec experiments.CellSpec) (cell *experiments.CellPayload,
 	}
 }
 
-func (b *Batcher) attempt(site faults.Site, spec experiments.CellSpec) (cell *experiments.CellPayload, cached bool, err error) {
+func (b *Batcher) attempt(site faults.Site, key string, spec experiments.CellSpec) (cell *experiments.CellPayload, cached bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &faults.PanicError{Value: v, Stack: debug.Stack()}
@@ -226,5 +227,5 @@ func (b *Batcher) attempt(site faults.Site, spec experiments.CellSpec) (cell *ex
 	if err := b.faults.Fire(context.Background(), site); err != nil {
 		return nil, false, err
 	}
-	return b.cache.Invoke(spec, b.env)
+	return b.cache.Invoke(key, spec, b.env)
 }

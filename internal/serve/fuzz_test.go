@@ -7,15 +7,18 @@ import (
 )
 
 // FuzzParseInvokeRequest: ParseInvokeRequest, the daemon's decoder of
-// untrusted request bodies, never panics, and a request it accepts
-// marshals and re-parses to an equal value — the cell the daemon resolves
-// is the cell the client wrote. Seeds live in
-// testdata/fuzz/FuzzParseInvokeRequest.
+// untrusted request bodies, never panics, a body it accepts is one valid
+// JSON value, and a request it accepts marshals and re-parses to an equal
+// value — the cell the daemon resolves is the cell the client wrote. Seeds
+// live in testdata/fuzz/FuzzParseInvokeRequest.
 func FuzzParseInvokeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, env := ParseInvokeRequest(body)
 		if env != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("accepted a body that is not one JSON value: %q", body)
 		}
 		again, err := json.Marshal(req)
 		if err != nil {

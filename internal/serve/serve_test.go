@@ -20,6 +20,7 @@ import (
 	"ignite/internal/lukewarm"
 	"ignite/internal/obs"
 	"ignite/internal/sim"
+	"ignite/internal/wire"
 	"ignite/internal/workload"
 )
 
@@ -40,38 +41,16 @@ func TestParseInvokeRequestStrict(t *testing.T) {
 	cases := []struct {
 		name, body, code string
 	}{
-		{"missing version", `{"function":"Auth-G"}`, CodeUnsupportedSchema},
-		{"future version", `{"schemaVersion":2,"function":"Auth-G"}`, CodeUnsupportedSchema},
-		{"unknown field", `{"schemaVersion":1,"function":"Auth-G","wat":1}`, CodeBadRequest},
-		{"missing function", `{"schemaVersion":1}`, CodeBadRequest},
-		{"malformed", `{`, CodeBadRequest},
+		{"missing version", `{"function":"Auth-G"}`, wire.CodeUnsupportedSchema},
+		{"future version", `{"schemaVersion":2,"function":"Auth-G"}`, wire.CodeUnsupportedSchema},
+		{"unknown field", `{"schemaVersion":1,"function":"Auth-G","wat":1}`, wire.CodeBadRequest},
+		{"missing function", `{"schemaVersion":1}`, wire.CodeBadRequest},
+		{"malformed", `{`, wire.CodeBadRequest},
+		{"trailing data", `{"schemaVersion":1,"function":"Auth-G"} {"schemaVersion":2} garbage`, wire.CodeBadRequest},
 	}
 	for _, c := range cases {
 		if _, envErr := ParseInvokeRequest([]byte(c.body)); envErr == nil || envErr.Code != c.code {
 			t.Errorf("%s: got %+v, want code %s", c.name, envErr, c.code)
-		}
-	}
-}
-
-func TestErrorEnvelopeMapping(t *testing.T) {
-	cases := []struct {
-		code      string
-		status    int
-		retryable bool
-	}{
-		{CodeBadRequest, 400, false},
-		{CodeUnsupportedSchema, 400, false},
-		{CodeUnknownFunction, 404, false},
-		{CodeOverloaded, 429, true},
-		{CodeShuttingDown, 503, true},
-		{CodeDeadline, 504, true},
-		{CodeInternal, 500, false},
-	}
-	for _, c := range cases {
-		e := envelope(c.code, "x")
-		if e.HTTPStatus() != c.status || e.Retryable != c.retryable {
-			t.Errorf("%s: status %d retryable %v, want %d %v",
-				c.code, e.HTTPStatus(), e.Retryable, c.status, c.retryable)
 		}
 	}
 }
@@ -130,13 +109,13 @@ func TestParseKindAndMode(t *testing.T) {
 	if k, envErr := ParseKind(""); envErr != nil || k != sim.KindIgnite {
 		t.Errorf("default kind = %v, %v", k, envErr)
 	}
-	if _, envErr := ParseKind("warp-drive"); envErr == nil || envErr.Code != CodeUnknownConfig {
+	if _, envErr := ParseKind("warp-drive"); envErr == nil || envErr.Code != wire.CodeUnknownConfig {
 		t.Errorf("unknown kind: %+v", envErr)
 	}
 	if m, envErr := ParseMode("back-to-back"); envErr != nil || m != lukewarm.BackToBack {
 		t.Errorf("b2b mode = %v, %v", m, envErr)
 	}
-	if _, envErr := ParseMode("diagonal"); envErr == nil || envErr.Code != CodeUnknownMode {
+	if _, envErr := ParseMode("diagonal"); envErr == nil || envErr.Code != wire.CodeUnknownMode {
 		t.Errorf("unknown mode: %+v", envErr)
 	}
 }
@@ -232,7 +211,7 @@ func TestBatcherAdmissionControl(t *testing.T) {
 
 	// Distinct functions → distinct cells → distinct flights.
 	fns := []string{"Auth-G", "Curr-N", "Geo-G", "Prof-G"}
-	errs := make([]*ErrorEnvelope, len(fns))
+	errs := make([]*wire.Envelope, len(fns))
 	var wg sync.WaitGroup
 	for i, fn := range fns {
 		spec := testSpec(t, fn)
@@ -256,8 +235,8 @@ func TestBatcherAdmissionControl(t *testing.T) {
 		switch {
 		case i < 2 && envErr != nil:
 			t.Errorf("%s: %+v, want an answer", fns[i], envErr)
-		case i >= 2 && (envErr == nil || envErr.Code != CodeOverloaded || !envErr.Retryable):
-			t.Errorf("%s: %+v, want a retryable %s", fns[i], envErr, CodeOverloaded)
+		case i >= 2 && (envErr == nil || envErr.Code != wire.CodeOverloaded || !envErr.Retryable):
+			t.Errorf("%s: %+v, want a retryable %s", fns[i], envErr, wire.CodeOverloaded)
 		}
 	}
 }
@@ -276,7 +255,7 @@ func TestBatcherDeadline(t *testing.T) {
 	defer cancel()
 	spec := testSpec(t, "Auth-G")
 	_, _, _, envErr := b.Submit(ctx, spec.Key(), spec)
-	if envErr == nil || envErr.Code != CodeDeadline || !envErr.Retryable {
+	if envErr == nil || envErr.Code != wire.CodeDeadline || !envErr.Retryable {
 		t.Fatalf("got %+v, want retryable deadline", envErr)
 	}
 }
@@ -320,7 +299,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
-	submit := func(spec experiments.CellSpec, errs []*ErrorEnvelope) {
+	submit := func(spec experiments.CellSpec, errs []*wire.Envelope) {
 		for i := range errs {
 			wg.Add(1)
 			go func(i int) {
@@ -329,7 +308,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 			}(i)
 		}
 	}
-	errs := make([]*ErrorEnvelope, 2*n+1)
+	errs := make([]*wire.Envelope, 2*n+1)
 	blocker, spec := testSpec(t, "Curr-N"), testSpec(t, "Auth-G")
 	submit(blocker, errs[n:])
 	submit(spec, errs[:n])
@@ -345,7 +324,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 		defer b.mu.Unlock()
 		return b.closed
 	})
-	if _, _, _, envErr := b.Submit(context.Background(), spec.Key(), spec); envErr == nil || envErr.Code != CodeShuttingDown {
+	if _, _, _, envErr := b.Submit(context.Background(), spec.Key(), spec); envErr == nil || envErr.Code != wire.CodeShuttingDown {
 		t.Errorf("submit during the drain: %+v, want shutting-down", envErr)
 	}
 	select {
@@ -361,7 +340,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 			t.Errorf("admitted request %d not drained: %v", i, envErr)
 		}
 	}
-	if _, _, _, envErr := b.Submit(context.Background(), spec.Key(), spec); envErr == nil || envErr.Code != CodeShuttingDown {
+	if _, _, _, envErr := b.Submit(context.Background(), spec.Key(), spec); envErr == nil || envErr.Code != wire.CodeShuttingDown {
 		t.Errorf("post-close submit: %+v, want shutting-down", envErr)
 	}
 }
@@ -683,16 +662,16 @@ func TestServerFastPathAndErrors(t *testing.T) {
 		status int
 		code   string
 	}{
-		{`{"schemaVersion":9,"function":"Auth-G"}`, 400, CodeUnsupportedSchema},
-		{`{"schemaVersion":1,"function":"NoSuchFn"}`, 404, CodeUnknownFunction},
-		{`{"schemaVersion":1,"function":"Auth-G","config":"warp"}`, 404, CodeUnknownConfig},
-		{`{"schemaVersion":1,"function":"Auth-G","mode":"diagonal"}`, 404, CodeUnknownMode},
+		{`{"schemaVersion":9,"function":"Auth-G"}`, 400, wire.CodeUnsupportedSchema},
+		{`{"schemaVersion":1,"function":"NoSuchFn"}`, 404, wire.CodeUnknownFunction},
+		{`{"schemaVersion":1,"function":"Auth-G","config":"warp"}`, 404, wire.CodeUnknownConfig},
+		{`{"schemaVersion":1,"function":"Auth-G","mode":"diagonal"}`, 404, wire.CodeUnknownMode},
 	} {
 		resp, data := postInvoke(t, addr, c.body)
 		if resp.StatusCode != c.status {
 			t.Errorf("%s: status %d, want %d", c.body, resp.StatusCode, c.status)
 		}
-		var env ErrorEnvelope
+		var env wire.Envelope
 		if err := json.Unmarshal(data, &env); err != nil || env.Code != c.code {
 			t.Errorf("%s: envelope %s (err %v), want code %s", c.body, data, err, c.code)
 		}
@@ -809,23 +788,51 @@ func TestMetricsDocumentVersionGate(t *testing.T) {
 // 400 would be waiting for a success that can never come.
 func TestRetryAfterHeader(t *testing.T) {
 	s := startTestServer(t, Config{})
-	want := strconv.Itoa(RetryAfterSec)
+	want := strconv.Itoa(wire.RetryAfterSec)
 	for _, c := range []struct {
 		code string
 		want string
 	}{
-		{CodeOverloaded, want},
-		{CodeShuttingDown, want},
-		{CodeBadRequest, ""},
-		{CodeUnknownFunction, ""},
+		{wire.CodeOverloaded, want},
+		{wire.CodeShuttingDown, want},
+		{wire.CodeBadRequest, ""},
+		{wire.CodeUnknownFunction, ""},
 	} {
 		rec := httptest.NewRecorder()
-		s.writeError(rec, envelope(c.code, "test"))
+		s.writeError(rec, wire.Errorf(SchemaVersion, c.code, "test"))
 		if got := rec.Header().Get("Retry-After"); got != c.want {
 			t.Errorf("%s: Retry-After = %q, want %q", c.code, got, c.want)
 		}
-		if rec.Code != envelope(c.code, "test").HTTPStatus() {
+		if rec.Code != wire.Errorf(SchemaVersion, c.code, "test").HTTPStatus() {
 			t.Errorf("%s: status %d", c.code, rec.Code)
 		}
+	}
+}
+
+// BenchmarkWarmInvoke measures the serving wire's warm path, the steady
+// state of a load test on one function: a repeated /v1/invoke answered from
+// the response cache (strict decode, one lookup, one write), driven through
+// the handler without a network.
+func BenchmarkWarmInvoke(b *testing.B) {
+	s := NewServer(Config{TargetInstr: testInstr})
+	defer s.batcher.Close()
+	body := []byte(`{"schemaVersion":1,"function":"Auth-G","config":"ignite"}`)
+	invoke := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.handleInvoke(rec, httptest.NewRequest(http.MethodPost, PathInvoke, bytes.NewReader(body)))
+		return rec
+	}
+	if rec := invoke(); rec.Code != http.StatusOK {
+		b.Fatalf("cold request: %d %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := invoke(); rec.Code != http.StatusOK {
+			b.Fatalf("warm request: %d %s", rec.Code, rec.Body)
+		}
+	}
+	if hits := s.mFast.Value(); hits != uint64(b.N) {
+		b.Fatalf("fast-path hits = %d, want %d", hits, b.N)
 	}
 }

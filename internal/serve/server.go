@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"ignite/internal/experiments"
 	"ignite/internal/faults"
 	"ignite/internal/obs"
+	"ignite/internal/wire"
 	"ignite/internal/workload"
 )
 
@@ -63,10 +63,10 @@ type Config struct {
 // coalescing Batcher in front of the experiment layer's cell cache.
 //
 // The hot path never reaches the batcher: every successful response body is
-// remembered under its request's canonical form, so a repeated request (the
-// steady state of a load test hammering one warm function) costs one parse,
-// one map lookup and one write. Cells are pure functions of their key, which
-// is what makes the pre-encoded bytes reusable verbatim.
+// remembered under its parsed request (see canonical), so a repeated request
+// (the steady state of a load test hammering one warm function) costs one
+// parse, one map lookup and one write. Cells are pure functions of their
+// key, which is what makes the pre-encoded bytes reusable verbatim.
 type Server struct {
 	cfg      Config
 	reg      *obs.Registry
@@ -74,8 +74,8 @@ type Server struct {
 	start    time.Time
 	draining atomic.Bool
 
-	// respCache maps a request's canonical form (see canonical) →
-	// pre-encoded warm response bytes. Keys are canonical, so entries are
+	// respCache maps a request's canonical respKey → its pre-encoded warm
+	// response (a json.RawMessage). Keys are parsed values, so entries are
 	// bounded by distinct requests, not by their spellings.
 	respCache sync.Map
 
@@ -196,12 +196,12 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	defer s.mInflight.Add(-1)
 
 	if r.Method != http.MethodPost {
-		s.writeError(w, envelope(CodeBadRequest, "use POST"))
+		s.writeError(w, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "use POST"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		s.writeError(w, envelope(CodeBadRequest, "read body: %v", err))
+		s.writeError(w, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "read body: %v", err))
 		return
 	}
 
@@ -215,7 +215,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if enc, ok := s.respCache.Load(canon); ok {
 		s.mFast.Inc()
 		s.mOK.Inc()
-		writeJSONBytes(w, http.StatusOK, enc.([]byte))
+		wire.WriteJSON(w, http.StatusOK, enc)
 		return
 	}
 	spec, envErr := s.resolve(req)
@@ -257,29 +257,29 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	enc, err := json.Marshal(resp)
 	if err != nil {
-		s.writeError(w, envelope(CodeInternal, "encode response: %v", err))
+		s.writeError(w, wire.Errorf(SchemaVersion, wire.CodeInternal, "encode response: %v", err))
 		return
 	}
 	s.mOK.Inc()
-	writeJSONBytes(w, http.StatusOK, enc)
+	wire.WriteJSON(w, http.StatusOK, json.RawMessage(enc))
 
 	// Remember the warm variant for subsequent requests of the same form.
 	warm := resp
 	warm.Cached = true
 	warm.BatchSize = 0
 	if wenc, err := json.Marshal(warm); err == nil {
-		s.respCache.Store(canon, wenc)
+		s.respCache.Store(canon, json.RawMessage(wenc))
 	}
 }
 
 // resolve maps a validated wire request onto a cell spec.
-func (s *Server) resolve(req InvokeRequest) (experiments.CellSpec, *ErrorEnvelope) {
+func (s *Server) resolve(req InvokeRequest) (experiments.CellSpec, *wire.Envelope) {
 	var spec experiments.CellSpec
 	wl, err := workload.ByName(req.Function)
 	if err != nil {
 		pop, ok := s.popByName[req.Function]
 		if !ok {
-			return spec, envelope(CodeUnknownFunction, "%v", err)
+			return spec, wire.Errorf(SchemaVersion, wire.CodeUnknownFunction, "%v", err)
 		}
 		wl = pop
 	}
@@ -296,14 +296,14 @@ func (s *Server) resolve(req InvokeRequest) (experiments.CellSpec, *ErrorEnvelop
 	}
 	tweaks, terr := req.Tweaks.ToSim()
 	if terr != nil {
-		return spec, envelope(CodeBadRequest, "%v", terr)
+		return spec, wire.Errorf(SchemaVersion, wire.CodeBadRequest, "%v", terr)
 	}
 	return experiments.CellSpec{Workload: wl, Config: kind, Tweaks: tweaks, Mode: mode}, nil
 }
 
 // handleCatalog is GET /v1/catalog.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, CatalogResponse{
+	wire.WriteJSON(w, http.StatusOK, CatalogResponse{
 		SchemaVersion: SchemaVersion,
 		Functions:     append(workload.Names(), s.popNames...),
 		Configs:       allKinds(),
@@ -332,7 +332,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Max:   smp.Max,
 		})
 	}
-	writeJSON(w, http.StatusOK, doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleHealthz is GET /healthz.
@@ -344,7 +344,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	cells, hits := s.batcher.cache.Stats()
-	writeJSON(w, code, map[string]any{
+	wire.WriteJSON(w, code, map[string]any{
 		"status":    status,
 		"uptimeSec": time.Since(s.start).Seconds(),
 		"cells":     cells,
@@ -353,35 +353,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// RetryAfterSec is the backoff hint stamped on shed (429) and
-// shutting-down (503) responses as a Retry-After header. One second spans
-// a cold cell simulation at serving scale, so a client that honors it
-// usually finds the cell warm on its retry instead of re-joining the
-// overload.
-const RetryAfterSec = 1
-
-func (s *Server) writeError(w http.ResponseWriter, env *ErrorEnvelope) {
-	if env.Code == CodeOverloaded {
+// writeError answers with env and counts it.
+func (s *Server) writeError(w http.ResponseWriter, env *wire.Envelope) {
+	if env.Code == wire.CodeOverloaded {
 		s.mShed.Inc()
 	}
-	if env.Code == CodeOverloaded || env.Code == CodeShuttingDown {
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSec))
-	}
 	s.mErrors.Inc()
-	writeJSON(w, env.HTTPStatus(), env)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	enc, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSONBytes(w, code, enc)
-}
-
-func writeJSONBytes(w http.ResponseWriter, code int, enc []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(enc)
+	wire.WriteError(w, env)
 }

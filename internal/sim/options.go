@@ -2,7 +2,6 @@ package sim
 
 import (
 	"ignite/internal/check"
-	"ignite/internal/faults"
 	"ignite/internal/obs"
 )
 
@@ -16,7 +15,6 @@ type settings struct {
 	tracer    obs.Tracer
 	checks    bool
 	maxCycles uint64
-	faults    *faults.Plan
 }
 
 func applyOptions(opts []Option) settings {
@@ -51,13 +49,6 @@ func WithTracer(t obs.Tracer) Option {
 // watchdog can only abort a run, never alter a completing one.
 func WithMaxCycles(n uint64) Option {
 	return func(s *settings) { s.maxCycles = n }
-}
-
-// WithFaults arms a fault-injection plan on the setup: Run fires it at the
-// ("", workload, kind) site before executing the protocol, so chaos tests
-// and the IGNITE_FAULTS CLI gate can exercise single-cell runs too.
-func WithFaults(p *faults.Plan) Option {
-	return func(s *settings) { s.faults = p }
 }
 
 // WithTweaks sets the setup's sensitivity-study knobs (Figs 4, 5, 10, 11

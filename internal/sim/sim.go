@@ -6,13 +6,11 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"ignite/internal/cfg"
 	"ignite/internal/check"
 	"ignite/internal/engine"
-	"ignite/internal/faults"
 	"ignite/internal/ignite"
 	"ignite/internal/lukewarm"
 	"ignite/internal/memsys"
@@ -140,10 +138,6 @@ type Setup struct {
 	// installed as the engine's post-invocation hook; Run additionally
 	// audits the aggregate result laws through it.
 	Checks *check.Invariants
-
-	// faults is the armed injection plan (nil = injection off); Run fires
-	// it before executing the protocol.
-	faults *faults.Plan
 }
 
 // New builds the setup for a workload under the named configuration.
@@ -214,13 +208,12 @@ func NewWithProgram(spec workload.Spec, prog *cfg.Program, kind Kind, opts ...Op
 		eng.SetTracer(set.tracer)
 	}
 	s := &Setup{
-		Kind:   kind,
-		Spec:   spec,
-		Prog:   prog,
-		Eng:    eng,
-		Store:  memsys.NewStore(),
-		Keep:   tw.Keep,
-		faults: set.faults,
+		Kind:  kind,
+		Spec:  spec,
+		Prog:  prog,
+		Eng:   eng,
+		Store: memsys.NewStore(),
+		Keep:  tw.Keep,
 	}
 
 	if useJukebox {
@@ -289,12 +282,6 @@ func (s *Setup) RegisterMetrics(reg *obs.Registry) {
 // enabled, per-invocation invariants are audited inside the protocol and
 // the aggregate result laws afterwards.
 func (s *Setup) Run(mode lukewarm.Mode) (*lukewarm.Result, error) {
-	// Fault-injection hook for single-cell runs (the experiment scheduler
-	// fires its own plan at the experiment site instead). Nil-safe no-op.
-	if err := s.faults.Fire(context.Background(),
-		faults.Site{Workload: s.Spec.Name, Config: string(s.Kind)}); err != nil {
-		return nil, err
-	}
 	res, err := lukewarm.Run(s.Eng, lukewarm.Options{
 		MaxInstr:   s.Spec.MaxInstr(),
 		Mode:       mode,

@@ -7,9 +7,9 @@
 //
 // Integrity posture, strongest first:
 //
-//   - every record carries the IEEE CRC-32 of its payload; a bit-flipped or
-//     torn record fails Get with a *CorruptionError instead of being
-//     served;
+//   - every record carries its payload in a wire.Frame, under the IEEE
+//     CRC-32 of the payload's bytes; a bit-flipped or torn record fails
+//     Get with a *CorruptionError instead of being served;
 //   - a sealed store additionally has MANIFEST.json: the (hash, CRC) pairs
 //     of every record under a Merkle root. Open recomputes the root; any
 //     bit flip in the manifest — a leaf, the root, the structure — marks
@@ -32,12 +32,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"ignite/internal/obs"
+	"ignite/internal/wire"
 )
 
 // Format constants. Records and the manifest are versioned the same way
@@ -66,16 +66,15 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("store: %s: %s", e.Path, e.Reason)
 }
 
-// record is the on-disk form of one stored cell result. CRC is the IEEE
-// CRC-32 of the raw Cell payload; Key is stored verbatim so a (vanishingly
-// unlikely) hash collision or a misfiled record is detected by equality,
-// not trusted by address.
+// record is the on-disk form of one stored cell result: the payload's
+// frame (its CRC and cell) after the key. Key is stored verbatim so a
+// (vanishingly unlikely) hash collision or a misfiled record is detected by
+// equality, not trusted by address.
 type record struct {
-	Kind          string          `json:"kind"`
-	SchemaVersion int             `json:"schemaVersion"`
-	Key           string          `json:"key"`
-	CRC           uint32          `json:"crc"`
-	Cell          json.RawMessage `json:"cell"`
+	Kind          string `json:"kind"`
+	SchemaVersion int    `json:"schemaVersion"`
+	Key           string `json:"key"`
+	wire.Frame
 }
 
 // ManifestRecord is one manifest leaf: a record's content address and its
@@ -201,7 +200,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if rec.Key != key {
 		return nil, &CorruptionError{Path: path, Reason: "record key does not match its content address"}
 	}
-	if crc32.ChecksumIEEE(rec.Cell) != rec.CRC {
+	if !rec.Valid() {
 		return nil, &CorruptionError{Path: path, Reason: "payload CRC mismatch"}
 	}
 	if sealed && leafCRC != rec.CRC {
@@ -210,21 +209,21 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return rec.Cell, nil
 }
 
-// Put stores payload under key, fsynced and atomic (write-temp, sync,
-// rename). Re-putting an identical record is a cheap no-op; a differing or
+// Put stores payload, which must be one JSON value, under key, fsynced and
+// atomic (write-temp, sync, rename). The record holds the payload in the
+// compact form encoding/json writes (see wire.NewFrame), which is what Get
+// returns. Re-putting an identical record is a cheap no-op; a differing or
 // damaged existing record is replaced. Put never touches the manifest —
 // new records ride on their self-CRC until the next Seal.
 func (s *Store) Put(key string, payload []byte) error {
-	if !json.Valid(payload) {
-		return fmt.Errorf("store: put %q: payload is not valid JSON", key)
+	frame, err := wire.NewFrame(payload)
+	if err != nil {
+		return fmt.Errorf("store: put %q: %w", key, err)
 	}
-	hash := KeyHash(key)
-	crc := crc32.ChecksumIEEE(payload)
-	path := s.recordPath(hash)
+	path := s.recordPath(KeyHash(key))
 	if old, err := os.ReadFile(path); err == nil {
 		var rec record
-		if json.Unmarshal(old, &rec) == nil && rec.Key == key && rec.CRC == crc &&
-			crc32.ChecksumIEEE(rec.Cell) == crc {
+		if json.Unmarshal(old, &rec) == nil && rec.Key == key && rec.CRC == frame.CRC && rec.Valid() {
 			return nil
 		}
 	}
@@ -232,8 +231,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		Kind:          recordKind,
 		SchemaVersion: schemaVersion,
 		Key:           key,
-		CRC:           crc,
-		Cell:          json.RawMessage(payload),
+		Frame:         frame,
 	})
 	if err != nil {
 		return fmt.Errorf("store: put %q: %w", key, err)
@@ -297,7 +295,7 @@ func (s *Store) scan() ([]ManifestRecord, error) {
 		var rec record
 		if json.Unmarshal(data, &rec) != nil ||
 			rec.Kind != recordKind || rec.SchemaVersion != schemaVersion ||
-			crc32.ChecksumIEEE(rec.Cell) != rec.CRC ||
+			!rec.Valid() ||
 			KeyHash(rec.Key)+".json" != filepath.Base(path) {
 			return nil // unverifiable: excluded from the sealed set
 		}

@@ -42,6 +42,17 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := s.Put(key, []byte("not json")); err == nil {
 		t.Fatal("Put accepted invalid JSON")
 	}
+	// A payload is stored in the form encoding/json writes it, compacted
+	// and HTML-escaped, and its CRC covers that form.
+	for payload, want := range map[string]string{
+		`{"a": 1}`:    `{"a":1}`,
+		`{"s":"<b>"}`: `{"s":"\u003cb\u003e"}`,
+	} {
+		put(t, s, key, payload)
+		if got, err := s.Get(key); err != nil || string(got) != want {
+			t.Errorf("Put(%s) then Get = %s, %v; want %s", payload, got, err, want)
+		}
+	}
 }
 
 // TestStoreSurvivesReopen proves persistence across Open calls — the whole

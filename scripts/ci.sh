@@ -54,8 +54,9 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 # comparing against the bench/<pkg>-baseline.txt files benchdiff.sh keeps. The
 # internal/fleet/budget package holds the budget market's BenchmarkFrontier,
 # internal/cfg the program generator's BenchmarkGenerate and the trace
-# walker's BenchmarkWalk.
-go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg
+# walker's BenchmarkWalk, internal/serve the serving wire's warm path
+# (BenchmarkWarmInvoke).
+go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg ./internal/serve
 
 # The repo benchmark (perfbench/) is its own module built against this one
 # (replace ignite => ../): vet and test it here, so an exported-API change
@@ -88,8 +89,9 @@ IGNITE_FAULTS=smoke go test ./internal/experiments -run Chaos
 # drive one low-RPS ignite-load burst (strict: any non-2xx fails the build),
 # require that the prime burst coalesced (requests that arrive while the
 # cold cell computes join its flight, so the largest batch exceeds 1), then
-# require that the idle daemon holds no program, SIGTERM it and require a
-# clean drain (exit 0). The serve race pass by name keeps the flights (their
+# require that the idle daemon holds no program and that a body with data
+# after its JSON value is a 400 bad-request, SIGTERM it and require a clean
+# drain (exit 0). The serve race pass by name keeps the flights (their
 # coalescing, admission, drain and program release), the bounded response
 # cache and the scrape paths visible on their own.
 go build -o "$smoke/ignite-serve" ./cmd/ignite-serve
@@ -112,6 +114,10 @@ go test -race -run 'TestServerIntegration|TestServerReleasesIdlePrograms|TestSer
   grep -q '"errors": 0,' load-smoke.json
   python3 -c 'import json, sys; sys.exit(json.load(open("load-smoke.json"))["serverSide"]["maxBatchSize"] <= 1)'
   curl -sf "http://127.0.0.1:$port/healthz" | grep -q '"programs":0'
+  code="$(curl -s -o trailing.json -w '%{http_code}' -H 'Content-Type: application/json' \
+    -d '{"schemaVersion":1,"function":"Auth-G"} {}' "http://127.0.0.1:$port/v1/invoke")"
+  test "$code" = 400
+  grep -q '"code":"bad-request"' trailing.json
   kill -TERM "$serve_pid"
   wait "$serve_pid"   # non-zero (unclean drain) fails the build via set -e
   grep -q 'drained' serve.log
