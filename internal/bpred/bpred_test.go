@@ -95,7 +95,7 @@ func TestBimodalSnapshotRestore(t *testing.T) {
 
 func TestTAGELearnsPeriodicPattern(t *testing.T) {
 	bim := NewBimodal(4096)
-	tg := NewTAGE(bim, DefaultTAGEConfig())
+	tg := NewTAGE(bim)
 	pc := uint64(0x400104)
 	// Pattern: NTTT repeating (period 4). Bimodal alone settles on taken
 	// and mispredicts every 4th; TAGE should learn the history.
@@ -115,7 +115,7 @@ func TestTAGELearnsPeriodicPattern(t *testing.T) {
 
 func TestTAGEBeatsBimodalOnPattern(t *testing.T) {
 	bimA := NewBimodal(4096)
-	tg := NewTAGE(bimA, DefaultTAGEConfig())
+	tg := NewTAGE(bimA)
 	bimB := NewBimodal(4096)
 	pc := uint64(0x7004)
 	tageWrong, bimWrong := 0, 0
@@ -139,7 +139,7 @@ func TestTAGEBeatsBimodalOnPattern(t *testing.T) {
 
 func TestTAGEFallsBackToBaseWhenFlushed(t *testing.T) {
 	bim := NewBimodal(4096)
-	tg := NewTAGE(bim, DefaultTAGEConfig())
+	tg := NewTAGE(bim)
 	pc := uint64(0x500)
 	for i := 0; i < 8; i++ {
 		bim.Update(pc, true)
@@ -152,7 +152,7 @@ func TestTAGEFallsBackToBaseWhenFlushed(t *testing.T) {
 
 func TestTAGESnapshotRestore(t *testing.T) {
 	bim := NewBimodal(4096)
-	tg := NewTAGE(bim, DefaultTAGEConfig())
+	tg := NewTAGE(bim)
 	pc := uint64(0x1234)
 	for i := 0; i < 2000; i++ {
 		tg.Update(pc, i%4 != 0)
@@ -266,11 +266,11 @@ func TestCBPSelectiveRestore(t *testing.T) {
 			c.PredictAndUpdate(pc, (i+j)%3 != 0)
 		}
 	}
-	snap := c.Snapshot()
+	snap, bimOnly := c.Snapshot(true, true), c.Snapshot(true, false)
 
 	// BIM-only restore: TAGE cold.
 	c.FlushAll(1)
-	c.RestoreBimOnly(snap)
+	c.Restore(bimOnly)
 	bimOnlyWrong := 0
 	for i := 0; i < 300; i++ {
 		for j, pc := range pcs {

@@ -26,7 +26,7 @@ func NewCBP() *CBP {
 	bim := NewBimodal(16 * 1024)
 	return &CBP{
 		bim:  bim,
-		tage: NewTAGE(bim, DefaultTAGEConfig()),
+		tage: NewTAGE(bim),
 		loop: NewLoopPredictor(64),
 	}
 }
@@ -87,38 +87,36 @@ func (c *CBP) FlushAll(seed uint64) {
 // ResetStats clears accuracy counters.
 func (c *CBP) ResetStats() { c.stat = CBPStats{} }
 
-// State is a deep copy of the full CBP state.
+// State is a copy of the CBP components a thrash keeps: the BIM, or the
+// TAGE with the loop predictor, or both.
 type State struct {
 	bim  []uint8
 	tage *TAGESnapshot
 	loop []loopEntry
 }
 
-// Snapshot deep-copies all predictor state.
-func (c *CBP) Snapshot() *State {
-	return &State{
-		bim:  c.bim.Snapshot(),
-		tage: c.tage.Snapshot(),
-		loop: c.loop.Snapshot(),
+// Snapshot copies the components to keep: the BIM when bim is set, the TAGE
+// and the loop predictor when tage is set (Figure 5's "+BIM warm" and
+// "+TAGE warm"). A component not kept is not copied.
+func (c *CBP) Snapshot(bim, tage bool) *State {
+	s := &State{}
+	if bim {
+		s.bim = c.bim.Snapshot()
 	}
+	if tage {
+		s.tage = c.tage.Snapshot()
+		s.loop = c.loop.Snapshot()
+	}
+	return s
 }
 
-// Restore reinstates a full snapshot.
+// Restore reinstates the components s holds.
 func (c *CBP) Restore(s *State) {
-	c.bim.Restore(s.bim)
-	c.tage.Restore(s.tage)
-	c.loop.Restore(s.loop)
-}
-
-// RestoreBimOnly reinstates only the BIM from a snapshot (Figure 5's
-// "+BIM warm" configuration).
-func (c *CBP) RestoreBimOnly(s *State) {
-	c.bim.Restore(s.bim)
-}
-
-// RestoreTageOnly reinstates the TAGE and loop state from a snapshot
-// (completing Figure 5's "+TAGE warm" configuration).
-func (c *CBP) RestoreTageOnly(s *State) {
-	c.tage.Restore(s.tage)
-	c.loop.Restore(s.loop)
+	if s.bim != nil {
+		c.bim.Restore(s.bim)
+	}
+	if s.tage != nil {
+		c.tage.Restore(s.tage)
+		c.loop.Restore(s.loop)
+	}
 }

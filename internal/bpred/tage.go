@@ -2,28 +2,41 @@ package bpred
 
 import "math/rand/v2"
 
+// The Table-2 geometry approximates the paper's 64 KiB L-TAGE budget: six
+// 4K-entry tables with 11-bit tags (~48 KiB of tagged state) over
+// geometric history lengths of 4 to 160 branches.
+const (
+	tageTables  = 6
+	tageIdxBits = 12
+	tageEntries = 1 << tageIdxBits
+	tageTagBits = 11
+	tageMaxHist = 160
+)
+
+// tageHistLens are the tables' history lengths, shortest first.
+var tageHistLens = [tageTables]uint{4, 9, 19, 40, 84, tageMaxHist}
+
+// tageOutShift is, per table, where the bit leaving the table's history
+// window re-enters each of its three folds (histLen mod the fold's width).
+var tageOutShift = func() (out [tageTables]foldShifts) {
+	for i, hl := range tageHistLens {
+		out[i] = foldShifts{hl % tageIdxBits, hl % tageTagBits, hl % (tageTagBits - 1)}
+	}
+	return out
+}()
+
+type foldShifts struct{ idx, tag, tag2 uint }
+
 // TAGE is a tagged-geometric-history-length predictor (Seznec) layered over
 // a bimodal base. Six tagged tables with geometrically increasing history
 // lengths; standard provider/alternate selection, usefulness counters, and
 // allocation-on-mispredict with periodic usefulness aging.
 type TAGE struct {
 	base *Bimodal
+	st   tageState
 
-	tables   [][]tageEntry
-	histLens []int
-	tagBits  uint
-	idxBits  uint
-
-	// Global history as a circular bit buffer plus folded registers.
-	ghist   []uint8
-	ghead   int
-	foldIdx []foldedReg
-	foldTag []foldedReg
-	fold2   []foldedReg // second tag fold (different width) for decorrelation
-
-	useAltOnNA int8 // 4-bit counter choosing alt over weak newly-allocated providers
-	allocRNG   rand.Rand
-	tick       int // usefulness aging clock
+	allocRNG rand.Rand
+	tick     int // usefulness aging clock
 
 	// memo caches the most recent lookup so the Predict→Update pair a branch
 	// commit performs costs one table scan instead of two. A cached result is
@@ -37,113 +50,80 @@ type TAGE struct {
 	memoOK   bool
 }
 
+// tageState is everything a snapshot keeps: the tables, the global history
+// and its folds, and the alternate-selection counter.
+type tageState struct {
+	tables [tageTables][tageEntries]tageEntry
+	// hist is the global history as a 160-bit shift register: bit b is the
+	// outcome b branches back (0 = most recent).
+	hist  [3]uint64
+	folds [tageTables]tageFolds
+
+	useAltOnNA int8 // 4-bit counter choosing alt over weak newly-allocated providers
+}
+
 type tageEntry struct {
 	tag uint16
 	ctr int8  // 3-bit signed [-4,3]; >=0 predicts taken
 	u   uint8 // 2-bit usefulness
 }
 
-// foldedReg maintains a cyclic-shift-register fold of the most recent
-// histLen history bits down to width bits.
-type foldedReg struct {
-	val      uint32
-	width    uint
-	histLen  int
-	outShift uint // histLen % width, precomputed at construction
-}
+// tageFolds are one table's cyclic-shift-register folds of its most recent
+// histLen history bits: idx down to tageIdxBits bits, tag down to
+// tageTagBits and tag2 (a second tag fold, for decorrelation) down to
+// tageTagBits-1.
+type tageFolds struct{ idx, tag, tag2 uint32 }
 
-func (f *foldedReg) update(newBit, oldBit uint8) {
-	f.val = (f.val << 1) | uint32(newBit)
-	// Remove the bit that falls out of the history window.
-	f.val ^= uint32(oldBit) << f.outShift
-	f.val ^= f.val >> f.width
-	f.val &= (1 << f.width) - 1
-}
-
-// TAGEConfig sizes the predictor.
-type TAGEConfig struct {
-	HistLens  []int
-	TableBits uint // log2 entries per tagged table
-	TagBits   uint
-}
-
-// DefaultTAGEConfig approximates the paper's 64 KiB L-TAGE budget: six
-// 4K-entry tables with 11-bit tags (~48 KiB of tagged state).
-func DefaultTAGEConfig() TAGEConfig {
-	return TAGEConfig{
-		HistLens:  []int{4, 9, 19, 40, 84, 160},
-		TableBits: 12,
-		TagBits:   11,
-	}
+// fold shifts newBit into a width-bit fold and removes oldBit, the bit
+// leaving the history window, which re-enters at outShift.
+func fold(val, newBit, oldBit uint32, width, outShift uint) uint32 {
+	val = val<<1 | newBit
+	val ^= oldBit << outShift
+	val ^= val >> width
+	return val & (1<<width - 1)
 }
 
 // NewTAGE builds a TAGE predictor over the given bimodal base.
-func NewTAGE(base *Bimodal, cfg TAGEConfig) *TAGE {
-	if len(cfg.HistLens) == 0 {
-		cfg = DefaultTAGEConfig()
-	}
-	maxHist := cfg.HistLens[len(cfg.HistLens)-1]
-	t := &TAGE{
+func NewTAGE(base *Bimodal) *TAGE {
+	return &TAGE{
 		base:     base,
-		histLens: append([]int(nil), cfg.HistLens...),
-		tagBits:  cfg.TagBits,
-		idxBits:  cfg.TableBits,
-		ghist:    make([]uint8, maxHist+1),
 		allocRNG: *rand.New(rand.NewPCG(0x1905, 0x7a6e5d4c3b2a1908)),
 	}
-	t.tables = make([][]tageEntry, len(cfg.HistLens))
-	for i := range t.tables {
-		t.tables[i] = make([]tageEntry, 1<<cfg.TableBits)
-	}
-	t.foldIdx = make([]foldedReg, len(cfg.HistLens))
-	t.foldTag = make([]foldedReg, len(cfg.HistLens))
-	t.fold2 = make([]foldedReg, len(cfg.HistLens))
-	for i, hl := range cfg.HistLens {
-		t.foldIdx[i] = foldedReg{width: cfg.TableBits, histLen: hl, outShift: uint(hl) % cfg.TableBits}
-		t.foldTag[i] = foldedReg{width: cfg.TagBits, histLen: hl, outShift: uint(hl) % cfg.TagBits}
-		t.fold2[i] = foldedReg{width: cfg.TagBits - 1, histLen: hl, outShift: uint(hl) % (cfg.TagBits - 1)}
-	}
-	return t
 }
 
-func (t *TAGE) index(pc uint64, table int) uint32 {
-	w := uint32(pc >> 2)
-	v := w ^ w>>(t.idxBits) ^ t.foldIdx[table].val ^ uint32(table)*0x9e37
-	return v & ((1 << t.idxBits) - 1)
-}
-
-func (t *TAGE) tag(pc uint64, table int) uint16 {
-	w := uint32(pc >> 2)
-	v := w ^ t.foldTag[table].val ^ (t.fold2[table].val << 1)
-	return uint16(v & ((1 << t.tagBits) - 1))
-}
-
-// lookup finds the provider and alternate predictions.
+// tageLookup is one lookup: every table's index and tag for the branch,
+// and the provider and alternate predictions they find.
 type tageLookup struct {
+	idx      [tageTables]uint32
+	tag      [tageTables]uint16
 	provider int // table index, -1 = base
 	altpred  bool
 	provPred bool
-	provIdx  uint32
 	weakNew  bool
 }
 
 func (t *TAGE) lookup(pc uint64) tageLookup {
 	res := tageLookup{provider: -1}
+	w := uint32(pc >> 2)
+	for i := range res.idx {
+		f := &t.st.folds[i]
+		res.idx[i] = (w ^ w>>tageIdxBits ^ f.idx ^ uint32(i)*0x9e37) & (tageEntries - 1)
+		res.tag[i] = uint16((w ^ f.tag ^ f.tag2<<1) & (1<<tageTagBits - 1))
+	}
 	alt := -1
-	for i := len(t.tables) - 1; i >= 0; i-- {
-		idx := t.index(pc, i)
-		e := &t.tables[i][idx]
-		if e.tag == t.tag(pc, i) && e.u != 0xff {
-			if res.provider == -1 {
-				res.provider = i
-				res.provIdx = idx
-				res.provPred = e.ctr >= 0
-				res.weakNew = (e.ctr == 0 || e.ctr == -1) && e.u == 0
-			} else if alt == -1 {
-				alt = i
-				res.altpred = e.ctr >= 0
-				break
-			}
+	for i := tageTables - 1; i >= 0; i-- {
+		e := &t.st.tables[i][res.idx[i]]
+		if e.tag != res.tag[i] {
+			continue
+		}
+		if res.provider == -1 {
+			res.provider = i
+			res.provPred = e.ctr >= 0
+			res.weakNew = (e.ctr == 0 || e.ctr == -1) && e.u == 0
+		} else {
+			alt = i
+			res.altpred = e.ctr >= 0
+			break
 		}
 	}
 	if res.provider == -1 {
@@ -159,22 +139,21 @@ func (t *TAGE) lookup(pc uint64) tageLookup {
 // provably still current (same pc, no TAGE mutation since, same bimodal
 // version). useAltOnNA is not part of the key: it only steers selection in
 // Predict/Update, never the lookup itself.
-func (t *TAGE) lookupCached(pc uint64) tageLookup {
+func (t *TAGE) lookupCached(pc uint64) *tageLookup {
 	if t.memoOK && t.memoPC == pc && t.memoBimV == t.base.version {
-		return t.memo
+		return &t.memo
 	}
-	lk := t.lookup(pc)
-	t.memo = lk
+	t.memo = t.lookup(pc)
 	t.memoPC = pc
 	t.memoBimV = t.base.version
 	t.memoOK = true
-	return lk
+	return &t.memo
 }
 
 // Predict returns the TAGE prediction for pc.
 func (t *TAGE) Predict(pc uint64) bool {
 	lk := t.lookupCached(pc)
-	if lk.provider >= 0 && lk.weakNew && t.useAltOnNA >= 0 {
+	if lk.provider >= 0 && lk.weakNew && t.st.useAltOnNA >= 0 {
 		return lk.altpred
 	}
 	return lk.provPred
@@ -185,23 +164,23 @@ func (t *TAGE) Predict(pc uint64) bool {
 // own (the property Ignite's BIM-only restore depends on).
 func (t *TAGE) Update(pc uint64, taken bool) {
 	lk := t.lookupCached(pc)
-	t.memoOK = false // everything below mutates state lookups read
+	t.memoOK = false // everything below mutates state lookups read; lk stays valid
 	pred := lk.provPred
-	if lk.provider >= 0 && lk.weakNew && t.useAltOnNA >= 0 {
+	if lk.provider >= 0 && lk.weakNew && t.st.useAltOnNA >= 0 {
 		pred = lk.altpred
 	}
 	mispred := pred != taken
 
 	if lk.provider >= 0 {
-		e := &t.tables[lk.provider][lk.provIdx]
+		e := &t.st.tables[lk.provider][lk.idx[lk.provider]]
 		// useAltOnNA bookkeeping for weak new entries.
 		if lk.weakNew && lk.provPred != lk.altpred {
 			if lk.altpred == taken {
-				if t.useAltOnNA < 7 {
-					t.useAltOnNA++
+				if t.st.useAltOnNA < 7 {
+					t.st.useAltOnNA++
 				}
-			} else if t.useAltOnNA > -8 {
-				t.useAltOnNA--
+			} else if t.st.useAltOnNA > -8 {
+				t.st.useAltOnNA--
 			}
 		}
 		// Usefulness: provider correct and alt wrong.
@@ -219,8 +198,8 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 	t.base.Update(pc, taken)
 
 	// Allocate on misprediction into a longer-history table.
-	if mispred && lk.provider < len(t.tables)-1 {
-		t.allocate(pc, taken, lk.provider)
+	if mispred && lk.provider < tageTables-1 {
+		t.allocate(lk, taken)
 	}
 
 	t.pushHistory(taken)
@@ -231,40 +210,40 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 	}
 }
 
-func (t *TAGE) allocate(pc uint64, taken bool, provider int) {
-	start := provider + 1
+// allocate claims an entry above lk's provider for the mispredicted branch,
+// at the indices and tags lk computed: no history moved since the lookup.
+func (t *TAGE) allocate(lk *tageLookup, taken bool) {
+	start := lk.provider + 1
 	// Randomize start a little to spread allocations (Seznec).
-	if start < len(t.tables)-1 && t.allocRNG.IntN(2) == 0 {
+	if start < tageTables-1 && t.allocRNG.IntN(2) == 0 {
 		start++
 	}
-	for i := start; i < len(t.tables); i++ {
-		idx := t.index(pc, i)
-		e := &t.tables[i][idx]
+	for i := start; i < tageTables; i++ {
+		e := &t.st.tables[i][lk.idx[i]]
 		if e.u == 0 {
-			e.tag = t.tag(pc, i)
+			e.tag = lk.tag[i]
 			if taken {
 				e.ctr = 0
 			} else {
 				e.ctr = -1
 			}
-			e.u = 0
 			return
 		}
 	}
 	// No free entry: decay usefulness along the path.
-	for i := start; i < len(t.tables); i++ {
-		idx := t.index(pc, i)
-		if t.tables[i][idx].u > 0 {
-			t.tables[i][idx].u--
+	for i := start; i < tageTables; i++ {
+		if e := &t.st.tables[i][lk.idx[i]]; e.u > 0 {
+			e.u--
 		}
 	}
 }
 
 func (t *TAGE) ageUsefulness() {
-	for _, tab := range t.tables {
-		for i := range tab {
-			if tab[i].u > 0 {
-				tab[i].u--
+	for i := range t.st.tables {
+		tab := &t.st.tables[i]
+		for j := range tab {
+			if tab[j].u > 0 {
+				tab[j].u--
 			}
 		}
 	}
@@ -272,95 +251,39 @@ func (t *TAGE) ageUsefulness() {
 
 // pushHistory shifts one outcome into the global history and all folds.
 func (t *TAGE) pushHistory(taken bool) {
-	nb := uint8(0)
+	nb := uint32(0)
 	if taken {
 		nb = 1
 	}
-	maxHist := len(t.ghist) - 1
-	// oldest bit for each fold: the bit histLen back.
-	for i := range t.foldIdx {
-		old := t.histBit(t.histLens[i] - 1)
-		t.foldIdx[i].update(nb, old)
-		t.foldTag[i].update(nb, old)
-		t.fold2[i].update(nb, old)
+	h := &t.st.hist
+	for i, hl := range tageHistLens {
+		// The bit leaving table i's window: the one hl-1 branches back.
+		old := uint32(h[(hl-1)>>6]>>((hl-1)&63)) & 1
+		f, sh := &t.st.folds[i], &tageOutShift[i]
+		f.idx = fold(f.idx, nb, old, tageIdxBits, sh.idx)
+		f.tag = fold(f.tag, nb, old, tageTagBits, sh.tag)
+		f.tag2 = fold(f.tag2, nb, old, tageTagBits-1, sh.tag2)
 	}
-	t.ghead++
-	if t.ghead >= maxHist {
-		t.ghead = 0
-	}
-	t.ghist[t.ghead] = nb
-}
-
-// histBit returns the history bit `back` positions ago (0 = most recent).
-// Callers pass back < len(ghist)-1, so one conditional add replaces the
-// modulo reductions.
-func (t *TAGE) histBit(back int) uint8 {
-	idx := t.ghead - back
-	if idx < 0 {
-		idx += len(t.ghist) - 1
-	}
-	return t.ghist[idx]
+	h[2] = (h[2]<<1 | h[1]>>63) & (1<<(tageMaxHist-128) - 1)
+	h[1] = h[1]<<1 | h[0]>>63
+	h[0] = h[0]<<1 | uint64(nb)
 }
 
 // Flush clears all tagged tables and history — the cold TAGE of a lukewarm
 // invocation. The bimodal base is not touched.
 func (t *TAGE) Flush() {
-	for _, tab := range t.tables {
-		for i := range tab {
-			tab[i] = tageEntry{}
-		}
-	}
-	for i := range t.ghist {
-		t.ghist[i] = 0
-	}
-	for i := range t.foldIdx {
-		t.foldIdx[i].val = 0
-		t.foldTag[i].val = 0
-		t.fold2[i].val = 0
-	}
-	t.ghead = 0
-	t.useAltOnNA = 0
+	t.st = tageState{}
 	t.memoOK = false
 }
 
 // TAGESnapshot captures the complete TAGE state.
-type TAGESnapshot struct {
-	tables     [][]tageEntry
-	ghist      []uint8
-	ghead      int
-	foldIdx    []foldedReg
-	foldTag    []foldedReg
-	fold2      []foldedReg
-	useAltOnNA int8
-}
+type TAGESnapshot struct{ st tageState }
 
-// Snapshot deep-copies the TAGE state (warm-TAGE studies and Ignite+TAGE).
-func (t *TAGE) Snapshot() *TAGESnapshot {
-	s := &TAGESnapshot{
-		ghist:      append([]uint8(nil), t.ghist...),
-		ghead:      t.ghead,
-		foldIdx:    append([]foldedReg(nil), t.foldIdx...),
-		foldTag:    append([]foldedReg(nil), t.foldTag...),
-		fold2:      append([]foldedReg(nil), t.fold2...),
-		useAltOnNA: t.useAltOnNA,
-	}
-	s.tables = make([][]tageEntry, len(t.tables))
-	for i, tab := range t.tables {
-		s.tables[i] = append([]tageEntry(nil), tab...)
-	}
-	return s
-}
+// Snapshot copies the TAGE state (warm-TAGE studies and Ignite+TAGE).
+func (t *TAGE) Snapshot() *TAGESnapshot { return &TAGESnapshot{t.st} }
 
-// Restore reinstates a snapshot from an identically configured TAGE.
+// Restore reinstates a snapshot.
 func (t *TAGE) Restore(s *TAGESnapshot) {
-	for i := range t.tables {
-		copy(t.tables[i], s.tables[i])
-	}
-	copy(t.ghist, s.ghist)
-	t.ghead = s.ghead
-	copy(t.foldIdx, s.foldIdx)
-	copy(t.foldTag, s.foldTag)
-	copy(t.fold2, s.fold2)
-	t.useAltOnNA = s.useAltOnNA
+	t.st = s.st
 	t.memoOK = false
 }

@@ -137,6 +137,9 @@ type Hierarchy struct {
 	stats             HierStats
 }
 
+// DefaultL2Bytes is the Table 2 L2 capacity.
+const DefaultL2Bytes = 1280 << 10
+
 // DefaultHierarchy builds the paper's Table 2 configuration: 32 KiB/8-way
 // L1-I, 48 KiB/12-way L1-D, 1280 KiB/20-way private L2, 8 MiB/16-way LLC,
 // 64 B lines.
@@ -144,7 +147,7 @@ func DefaultHierarchy(tracker Tracker) *Hierarchy {
 	return &Hierarchy{
 		L1I:     MustNew(Config{Name: "L1I", SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 1}),
 		L1D:     MustNew(Config{Name: "L1D", SizeBytes: 48 << 10, LineBytes: 64, Ways: 12, HitLatency: 4}),
-		L2:      MustNew(Config{Name: "L2", SizeBytes: 1280 << 10, LineBytes: 64, Ways: 20, HitLatency: 13}),
+		L2:      MustNew(Config{Name: "L2", SizeBytes: DefaultL2Bytes, LineBytes: 64, Ways: 20, HitLatency: 13}),
 		LLC:     MustNew(Config{Name: "LLC", SizeBytes: 8 << 20, LineBytes: 64, Ways: 16, HitLatency: 50}),
 		Lat:     DefaultLatencies(),
 		tracker: tracker,

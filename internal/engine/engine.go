@@ -218,18 +218,18 @@ func (e *Engine) ThrashSelective(seed uint64, keepBTB, keepBIM, keepTAGE bool) {
 	if keepBTB {
 		btbState = e.btb.Snapshot()
 	}
-	cbpState := e.cbp.Snapshot()
+	var cbpState *bpred.State
+	if keepBIM || keepTAGE {
+		cbpState = e.cbp.Snapshot(keepBIM, keepTAGE)
+	}
 
 	e.Thrash(seed)
 
 	if keepBTB {
 		e.btb.Restore(btbState)
 	}
-	if keepBIM {
-		e.cbp.RestoreBimOnly(cbpState)
-	}
-	if keepTAGE {
-		e.cbp.RestoreTageOnly(cbpState)
+	if cbpState != nil {
+		e.cbp.Restore(cbpState)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"runtime/debug"
 	"sync"
@@ -37,7 +38,11 @@ var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 // spec — so the nl/interleaved baseline that fig3, fig8, fig9a, fig11 and
 // fig12 all need is simulated exactly once per RunAll instead of five times.
 // Entries are computed single-flight: a second request for an in-flight key
-// blocks until the first completes and shares its result. Cells are also fed
+// blocks until the first completes and shares its result. Cells are counted,
+// loaded and saved by that named key, but simulated by their effective key
+// (effectiveCell): a named cell the store does not hold joins or starts the
+// effective key's flight, so fig12's fdp+ignite and the sweeps' Table-2
+// points ride on the ignite cell fig8 simulates. Cells are also fed
 // pre-generated committed traces: the walk depends only on the program and
 // seed, never on the front-end configuration, so a workload's ~6 invocation
 // traces are identical across every cell.
@@ -46,6 +51,10 @@ type CellCache struct {
 	progs map[string]*progEntry
 	cells map[string]*cellEntry
 	hits  int
+	// flights memoizes simulations by effective key; parent, set on a
+	// fork, is the cache whose flights the fork also reads (see flight).
+	flights map[[sha256.Size]byte]*cellEntry
+	parent  *CellCache
 	// backing, when set, persists computed cells to (and restores them
 	// from) a cross-run store — see SetBacking. Loads and saves happen
 	// inside the entry's single-flight section, so hit accounting (and
@@ -126,24 +135,28 @@ type traceEntry struct {
 // NewCellCache returns an empty cache.
 func NewCellCache() *CellCache {
 	return &CellCache{
-		mu:    new(sync.Mutex),
-		progs: make(map[string]*progEntry),
-		cells: make(map[string]*cellEntry),
+		mu:      new(sync.Mutex),
+		progs:   make(map[string]*progEntry),
+		cells:   make(map[string]*cellEntry),
+		flights: make(map[[sha256.Size]byte]*cellEntry),
 	}
 }
 
-// fork returns a cache with its own cell accounting (cells and hits) that
-// shares everything else with cc: the program and trace memo, the backing
-// store and the remote delegate. The ablations run on a fork, so their
-// cells persist and ship like the figures' while the shared cache's Stats —
-// and so every exported manifest — never see them. A nil cc forks into a
-// fresh cache.
+// fork returns a cache with its own cell accounting (cells and hits) and
+// its own flights that shares everything else with cc: the program and
+// trace memo, the backing store and the remote delegate. The ablations run
+// on a fork, so their cells persist and ship like the figures' while the
+// shared cache's Stats — and so every exported manifest — never see them.
+// A fork reads cc's flights but never adds to them: an ablation cell that
+// simulates what a figure already did joins the figure's flight, and the
+// ablation's own payloads die with the fork. A nil cc forks into a fresh
+// cache.
 func (cc *CellCache) fork() *CellCache {
 	if cc == nil {
 		return NewCellCache()
 	}
-	return &CellCache{mu: cc.mu, progs: cc.progs,
-		cells: make(map[string]*cellEntry), backing: cc.backing, remote: cc.remote}
+	return &CellCache{mu: cc.mu, progs: cc.progs, cells: make(map[string]*cellEntry),
+		flights: make(map[[sha256.Size]byte]*cellEntry), parent: cc, backing: cc.backing, remote: cc.remote}
 }
 
 // program returns the workload's generated program, building it at most once.
@@ -200,11 +213,7 @@ func (cc *CellCache) cell(ctx context.Context, key string, cs CellSpec, env Cell
 	}
 	cc.mu.Unlock()
 	e.once.Do(func() {
-		defer func() {
-			if v := recover(); v != nil {
-				e.p, e.err = nil, &faults.PanicError{Value: v, Stack: debug.Stack()}
-			}
-		}()
+		defer recoverInto(e)
 		// Persistent store first: a warm record turns the cell into pure
 		// I/O. Loading inside the single-flight section keeps cache-hit
 		// accounting — and therefore exported manifests — identical
@@ -215,26 +224,12 @@ func (cc *CellCache) cell(ctx context.Context, key string, cs CellSpec, env Cell
 				return
 			}
 		}
-		var p CellPayload
-		if cc.remote != nil {
-			p, e.err = cc.remote(ctx, key, cs, env)
-		} else {
-			p, e.err = cc.compute(cs, env)
-		}
-		if e.err != nil {
-			return
-		}
-		e.p = &p
-		if cc.backing != nil {
-			cc.backing.Save(key, p)
+		e.p, e.err = cc.simulate(ctx, key, cs, env)
+		if e.err == nil && cc.backing != nil {
+			cc.backing.Save(key, *e.p)
 		}
 	})
-	// A transient remote failure (worker connection lost, fleet draining)
-	// or an attempt ended by its context must not be memoized: evict the
-	// entry so the scheduler's retry — or the next run sharing this cache —
-	// gets a fresh attempt. Deterministic failures stay cached as before.
-	if e.err != nil && cc.remote != nil &&
-		(faults.IsTransient(e.err) || errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+	if cc.evictable(e.err) {
 		cc.mu.Lock()
 		if cc.cells[key] == e {
 			delete(cc.cells, key)
@@ -242,6 +237,73 @@ func (cc *CellCache) cell(ctx context.Context, key string, cs CellSpec, env Cell
 		cc.mu.Unlock()
 	}
 	return e.p, hit, e.err
+}
+
+// simulate joins or starts the single flight of cs's effective key, which
+// computes the cell remotely when a delegate is installed and locally
+// otherwise. The named key and cs of the cell that starts a flight are what
+// it ships; every cell that joins it shares the payload.
+func (cc *CellCache) simulate(ctx context.Context, key string, cs CellSpec, env CellEnv) (*CellPayload, error) {
+	plan, ek, err := effectiveKey(cs)
+	if err != nil {
+		return nil, err
+	}
+	f := cc.flight(ek)
+	f.once.Do(func() {
+		defer recoverInto(f)
+		var p CellPayload
+		if cc.remote != nil {
+			p, f.err = cc.remote(ctx, key, cs, env)
+		} else {
+			p, f.err = cc.compute(cs, plan, env)
+		}
+		if f.err == nil {
+			f.p = &p
+		}
+	})
+	if cc.evictable(f.err) {
+		cc.mu.Lock()
+		for c := cc; c != nil; c = c.parent {
+			if c.flights[ek] == f {
+				delete(c.flights, ek)
+			}
+		}
+		cc.mu.Unlock()
+	}
+	return f.p, f.err
+}
+
+// flight returns the flight of effective key ek: the entry of the nearest
+// cache that holds one, this cache or an ancestor, or else a new entry in
+// this cache's own flights.
+func (cc *CellCache) flight(ek [sha256.Size]byte) *cellEntry {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for c := cc; c != nil; c = c.parent {
+		if f, ok := c.flights[ek]; ok {
+			return f
+		}
+	}
+	f := &cellEntry{}
+	cc.flights[ek] = f
+	return f
+}
+
+// evictable reports whether err ends a remote attempt that must not be
+// memoized: a transient failure (worker connection lost, fleet draining) or
+// an attempt ended by its context. Evicting its entries gives the
+// scheduler's retry — or the next run sharing this cache — a fresh attempt.
+// Deterministic failures stay cached.
+func (cc *CellCache) evictable(err error) bool {
+	return err != nil && cc.remote != nil &&
+		(faults.IsTransient(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+}
+
+// recoverInto turns a panic in e's computation into e's error.
+func recoverInto(e *cellEntry) {
+	if v := recover(); v != nil {
+		e.p, e.err = nil, &faults.PanicError{Value: v, Stack: debug.Stack()}
+	}
 }
 
 // trace returns the committed trace for (seed, budget) of pe's program,
@@ -266,22 +328,21 @@ func (cc *CellCache) trace(pe *progEntry, seed, maxInstr uint64) ([]cfg.Step, cf
 	return e.steps, e.res, e.err
 }
 
-func (cc *CellCache) compute(cs CellSpec, env CellEnv) (CellPayload, error) {
+// compute simulates cs, whose configuration and tweaks resolve to plan.
+func (cc *CellCache) compute(cs CellSpec, plan sim.Plan, env CellEnv) (CellPayload, error) {
 	pe := cc.programEntry(cs.Workload)
 	if pe.err != nil {
 		return CellPayload{}, pe.err
 	}
-	opts := []sim.Option{sim.WithTweaks(cs.Tweaks), sim.WithTracer(env.Tracer)}
+	opts := []sim.Option{sim.WithTracer(env.Tracer)}
 	if env.Checks {
 		opts = append(opts, sim.WithChecks())
 	}
 	if env.MaxCycles > 0 {
 		opts = append(opts, sim.WithMaxCycles(env.MaxCycles))
 	}
-	setup, err := sim.NewWithProgram(cs.Workload, pe.prog, cs.Config, opts...)
-	if err != nil {
-		return CellPayload{}, err
-	}
+	setup := plan.Build(cs.Workload, pe.prog, opts...)
+	setup.Kind = cs.Config // names the cell in a failed check's error
 	setup.Eng.AttachScratch(scratchPool.Get().(*engine.Scratch))
 	defer func() { scratchPool.Put(setup.Eng.DetachScratch()) }()
 	setup.TraceProvider = func(seed, maxInstr uint64) ([]cfg.Step, cfg.WalkResult, error) {

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ignite/internal/engine"
-	"ignite/internal/ignite"
 	"ignite/internal/lukewarm"
 	"ignite/internal/sim"
 	"ignite/internal/workload"
@@ -91,13 +89,72 @@ func TestCellKeyCoversEveryField(t *testing.T) {
 	t.Logf("%d leaf fields keyed", leaves)
 }
 
-// TestNewWithProgramAppliesEveryTweak changes, one at a time, every leaf
-// field of sim.Tweaks and requires sim.NewWithProgram to act on it: the
-// built setup's Keep, engine configuration or Ignite configuration must
-// differ, or the build must fail. A failed build counts as acting on the
-// field, since an ignored field cannot fail it; the walk's generic values
-// include geometry the engine rejects, such as a one-entry BTB, which
-// NewWithProgram must return as an error: a panic fails the test.
+// igniteTweaks are the Tweaks leaves only Ignite reads: a kind that runs no
+// Ignite resolves to the same plan whatever they hold.
+var igniteTweaks = map[string]bool{
+	"Tweaks.BIMPolicy (nil to set)": true,
+	"Tweaks.BIMPolicy":              true,
+	"Tweaks.DoubleBuffer":           true,
+	"Tweaks.ThrottleThreshold":      true,
+	"Tweaks.MetadataBytes":          true,
+}
+
+// reads reports whether a kind whose default plan is base reads the tweak
+// leaf at path: the Ignite tweaks only when the kind runs Ignite, a Keep bit
+// only when the kind does not already imply it.
+func reads(base sim.Plan, path string) bool {
+	switch {
+	case igniteTweaks[path]:
+		return base.Ignite != nil
+	case path == "Tweaks.Keep.BIM":
+		return !base.Keep.BIM
+	case path == "Tweaks.Keep.TAGE":
+		return !base.Keep.TAGE
+	}
+	return true
+}
+
+// resolveKinds is every configuration kind, the fdp+ignite synonym
+// included.
+func resolveKinds() []sim.Kind { return append(sim.Kinds(), sim.KindFDPIgnite) }
+
+// TestResolveCoversEveryTweak changes, one at a time, every leaf field of
+// sim.Tweaks under every configuration kind, and requires sim.Resolve to
+// move the plan, or to reject the changed value, exactly when the kind
+// reads the leaf (see reads). A rejected value counts as read, since an
+// ignored field cannot fail the resolve; the walk's generic values include
+// geometry the engine rejects, such as a one-entry BTB. A leaf that a kind
+// does not read must leave its plan unchanged: that fold is what lets the
+// cell cache simulate such spellings once.
+func TestResolveCoversEveryTweak(t *testing.T) {
+	for _, kind := range resolveKinds() {
+		base, err := sim.Resolve(kind, sim.Tweaks{})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		var tw sim.Tweaks
+		walkLeaves(t, reflect.ValueOf(&tw).Elem(), "Tweaks", func(path string, change func()) {
+			before, err := sim.Resolve(kind, tw)
+			if err != nil {
+				t.Fatalf("%s %s: base plan: %v", kind, path, err)
+			}
+			change()
+			after, err := sim.Resolve(kind, tw)
+			moved := err != nil || !reflect.DeepEqual(before, after)
+			if moved != reads(base, path) {
+				t.Errorf("%s: changing %s moves the plan: %v (err %v), want %v", kind, path, moved, err, !moved)
+			}
+		})
+	}
+}
+
+// TestNewWithProgramAppliesEveryTweak builds every kind under every one-leaf
+// change of sim.Tweaks and requires the setup to be exactly what
+// sim.Resolve's plan says: its Keep, its engine configuration (with the
+// workload's data profile), its Ignite configuration and its companions.
+// With TestResolveCoversEveryTweak, every tweak a kind reads reaches the
+// built setup. A value Resolve rejects must fail the build: a panic fails
+// the test.
 func TestNewWithProgramAppliesEveryTweak(t *testing.T) {
 	spec, err := workload.ByName("Auth-G")
 	if err != nil {
@@ -107,31 +164,34 @@ func TestNewWithProgramAppliesEveryTweak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type resolved struct {
-		Keep   lukewarm.Preserve
-		Engine engine.Config
-		Ignite ignite.Config
+	check := func(kind sim.Kind, path string, tw sim.Tweaks) {
+		plan, perr := sim.Resolve(kind, tw)
+		st, err := sim.NewWithProgram(spec, prog, kind, sim.WithTweaks(tw))
+		if perr != nil || err != nil {
+			if (perr == nil) != (err == nil) {
+				t.Errorf("%s %s: Resolve error %v, NewWithProgram error %v", kind, path, perr, err)
+			}
+			return
+		}
+		want := plan.Engine
+		want.Data = spec.Data
+		got := sim.Plan{Engine: st.Eng.Config(), Keep: st.Keep,
+			Jukebox: st.Jukebox != nil, Confluence: st.Confluence != nil}
+		if st.Ignite != nil {
+			ic := st.Ignite.Config()
+			got.Ignite = &ic
+		}
+		plan.Engine = want
+		if !reflect.DeepEqual(got, plan) {
+			t.Errorf("%s %s: the setup is not its plan:\n got %+v\nwant %+v", kind, path, got, plan)
+		}
 	}
-	build := func(tw sim.Tweaks) (resolved, error) {
-		st, err := sim.NewWithProgram(spec, prog, sim.KindIgnite, sim.WithTweaks(tw))
-		if err != nil {
-			return resolved{}, err
-		}
-		return resolved{st.Keep, st.Eng.Config(), st.Ignite.Config()}, nil
+	for _, kind := range resolveKinds() {
+		var tw sim.Tweaks
+		check(kind, "Tweaks{}", tw)
+		walkLeaves(t, reflect.ValueOf(&tw).Elem(), "Tweaks", func(path string, change func()) {
+			change()
+			check(kind, path, tw)
+		})
 	}
-	var tw sim.Tweaks
-	walkLeaves(t, reflect.ValueOf(&tw).Elem(), "Tweaks", func(path string, change func()) {
-		before, err := build(tw)
-		if err != nil {
-			t.Fatalf("%s: base setup: %v", path, err)
-		}
-		change()
-		after, err := build(tw)
-		switch {
-		case err != nil:
-			t.Logf("%s: build rejects the changed value (%v)", path, err)
-		case reflect.DeepEqual(before, after):
-			t.Errorf("sim.NewWithProgram ignores %s", path)
-		}
-	})
 }

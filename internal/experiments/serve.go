@@ -48,10 +48,19 @@ const keyVersion = 2
 // (a slice, a map) panics: only a new field type the walk was not taught can
 // reach it, and TestCellKeyCoversEveryField fails first.
 func canonicalKey(v any) string {
+	sum := canonicalSum(v)
+	return hex.EncodeToString(sum[:])
+}
+
+// canonicalSum is canonicalKey before the hex encoding: the raw 32 bytes,
+// for a key that is held, not shown.
+func canonicalSum(v any) [sha256.Size]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d;", keyVersion)
 	writeCanonical(h, reflect.ValueOf(v))
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 func writeCanonical(w io.Writer, v reflect.Value) {
@@ -87,8 +96,29 @@ func writeCanonical(w io.Writer, v reflect.Value) {
 
 // Key returns the cell's canonical cache key: everything that determines
 // its outcome, nothing that doesn't (tracing, checks and watchdogs are
-// excluded, see CellEnv).
+// excluded, see CellEnv). It keys the cell by how it is named: the store,
+// the dist wire, the manifests' cell counts and the serving daemon all see
+// this key. Cells that name one simulation in different words share one
+// effective key (see effectiveCell).
 func (cs CellSpec) Key() string { return canonicalKey(cs) }
+
+// effectiveCell is what a cell simulates: its workload, its mode and the
+// plan its configuration and tweaks resolve to. Its canonical sum is the
+// cell's effective key, the key the cell cache simulates by.
+type effectiveCell struct {
+	Workload workload.Spec
+	Mode     lukewarm.Mode
+	Plan     sim.Plan
+}
+
+// effectiveKey resolves cs's plan and returns it with cs's effective key.
+func effectiveKey(cs CellSpec) (sim.Plan, [sha256.Size]byte, error) {
+	plan, err := sim.Resolve(cs.Config, cs.Tweaks)
+	if err != nil {
+		return sim.Plan{}, [sha256.Size]byte{}, err
+	}
+	return plan, canonicalSum(effectiveCell{Workload: cs.Workload, Mode: cs.Mode, Plan: plan}), nil
+}
 
 // CellEnv carries the per-run knobs that shape how a fresh cell simulates
 // without affecting its result, so none of them are part of the cache key:

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 
+	"ignite/internal/cache"
 	"ignite/internal/cfg"
 	"ignite/internal/check"
 	"ignite/internal/engine"
@@ -83,7 +84,7 @@ type Tweaks struct {
 // allocation, so a request past one is refused instead of exhausting memory.
 const (
 	maxBTBEntries    = 16 * 12288
-	maxL2KiB         = 16 * 1280
+	maxL2KiB         = 16 * (cache.DefaultL2Bytes >> 10)
 	maxMetadataBytes = 16 * ignite.MaxMetadataBytes
 )
 
@@ -102,16 +103,97 @@ func (tw Tweaks) Validate() error {
 }
 
 // engineConfig is the Table-2 engine configuration with the tweaked BTB and
-// L2 sizes.
+// L2 sizes. The Table-2 L2 size has one spelling, L2SizeBytes 0, so an
+// L2KiB of 1280 resolves like the default.
 func (tw Tweaks) engineConfig() engine.Config {
 	ec := engine.DefaultConfig()
 	if tw.BTBEntries > 0 {
 		ec.BTB.Entries = tw.BTBEntries
 	}
-	if tw.L2KiB > 0 {
+	if tw.L2KiB > 0 && tw.L2KiB<<10 != cache.DefaultL2Bytes {
 		ec.L2SizeBytes = tw.L2KiB << 10
 	}
 	return ec
+}
+
+// Plan is the effective configuration of a setup: everything its build
+// reads besides the workload and its program, resolved from a Kind and its
+// Tweaks. Requests that resolve to one Plan simulate identically, however
+// they are spelled: a kind synonym (fdp+ignite), a tweak set to its
+// Table-2 value, an Ignite tweak on a kind that runs no Ignite.
+type Plan struct {
+	// Engine is the engine configuration. Its Data and MaxCycles are zero:
+	// the build takes the data profile from the workload and the cycle
+	// watchdog from WithMaxCycles.
+	Engine engine.Config
+	// Ignite is the resolved Ignite configuration, nil when the kind runs
+	// no Ignite.
+	Ignite     *ignite.Config
+	Jukebox    bool
+	Confluence bool
+	// Keep is what survives the thrash: the tweaked Keep plus what the
+	// kind implies (ideal keeps the CBP, ignite+tage the TAGE tables).
+	Keep lukewarm.Preserve
+}
+
+// Resolve returns the plan of kind under tw. It fails on an unknown kind
+// and on tweaks that do not pass Tweaks.Validate.
+func Resolve(kind Kind, tw Tweaks) (Plan, error) {
+	if err := tw.Validate(); err != nil {
+		return Plan{}, err
+	}
+	p := Plan{Engine: tw.engineConfig(), Keep: tw.Keep}
+	p.Engine.Data = engine.DataConfig{}
+	useIgnite := false
+	switch kind {
+	case KindNL:
+	case KindFDP:
+		p.Engine.FDPEnabled = true
+	case KindBoomerang:
+		p.Engine.FDPEnabled = true
+		p.Engine.BoomerangEnabled = true
+	case KindJukebox:
+		p.Jukebox = true
+	case KindBoomerangJB:
+		p.Engine.FDPEnabled = true
+		p.Engine.BoomerangEnabled = true
+		p.Jukebox = true
+	case KindConfluence:
+		p.Confluence = true
+	case KindIgnite, KindFDPIgnite:
+		p.Engine.FDPEnabled = true
+		useIgnite = true
+	case KindIgniteTAGE:
+		p.Engine.FDPEnabled = true
+		useIgnite = true
+		p.Keep.TAGE = true
+	case KindConfluenceIgnite:
+		p.Confluence = true
+		useIgnite = true
+	case KindIdeal:
+		p.Engine.FDPEnabled = true
+		p.Engine.PerfectL1I = true
+		p.Engine.PerfectBTB = true
+		p.Keep.BIM = true
+		p.Keep.TAGE = true
+	default:
+		return Plan{}, fmt.Errorf("sim: unknown configuration %q", kind)
+	}
+	if useIgnite {
+		ic := ignite.DefaultConfig()
+		ic.DoubleBuffer = tw.DoubleBuffer
+		if tw.BIMPolicy != nil {
+			ic.Replay.Policy = *tw.BIMPolicy
+		}
+		if tw.ThrottleThreshold > 0 {
+			ic.Replay.ThrottleThreshold = tw.ThrottleThreshold
+		}
+		if tw.MetadataBytes > 0 {
+			ic.MetadataBytes = tw.MetadataBytes
+		}
+		p.Ignite = &ic
+	}
+	return p, nil
 }
 
 // Setup is a ready-to-run simulation of one (function, configuration) pair.
@@ -152,93 +234,55 @@ func New(spec workload.Spec, kind Kind, opts ...Option) (*Setup, error) {
 	return NewWithProgram(spec, prog, kind, opts...)
 }
 
-// NewWithProgram is New for a pre-built program (reuse across setups). It
-// fails on tweaks that do not pass Tweaks.Validate.
+// NewWithProgram is New for a pre-built program (reuse across setups): it
+// resolves kind and the WithTweaks tweaks into a Plan and builds it. It
+// fails where Resolve does.
 func NewWithProgram(spec workload.Spec, prog *cfg.Program, kind Kind, opts ...Option) (*Setup, error) {
 	set := applyOptions(opts)
-	tw := set.tw
-	if err := tw.Validate(); err != nil {
+	plan, err := Resolve(kind, set.tw)
+	if err != nil {
 		return nil, err
 	}
-	ec := tw.engineConfig()
+	s := plan.build(spec, prog, set)
+	s.Kind = kind
+	return s, nil
+}
+
+// Build assembles the setup p describes for spec's program. It reads only
+// the plan, the spec and the program: a WithTweaks option has no effect,
+// since the plan already holds its tweaks. The setup's Kind is unset.
+func (p Plan) Build(spec workload.Spec, prog *cfg.Program, opts ...Option) *Setup {
+	return p.build(spec, prog, applyOptions(opts))
+}
+
+func (p Plan) build(spec workload.Spec, prog *cfg.Program, set settings) *Setup {
+	ec := p.Engine
 	ec.Data = spec.Data
 	ec.MaxCycles = set.maxCycles
-
-	useIgnite := false
-	useJukebox := false
-	useConfluence := false
-
-	switch kind {
-	case KindNL:
-	case KindFDP:
-		ec.FDPEnabled = true
-	case KindBoomerang:
-		ec.FDPEnabled = true
-		ec.BoomerangEnabled = true
-	case KindJukebox:
-		useJukebox = true
-	case KindBoomerangJB:
-		ec.FDPEnabled = true
-		ec.BoomerangEnabled = true
-		useJukebox = true
-	case KindConfluence:
-		useConfluence = true
-	case KindIgnite, KindFDPIgnite:
-		ec.FDPEnabled = true
-		useIgnite = true
-	case KindIgniteTAGE:
-		ec.FDPEnabled = true
-		useIgnite = true
-		tw.Keep.TAGE = true
-	case KindConfluenceIgnite:
-		useConfluence = true
-		useIgnite = true
-	case KindIdeal:
-		ec.FDPEnabled = true
-		ec.PerfectL1I = true
-		ec.PerfectBTB = true
-		tw.Keep.BIM = true
-		tw.Keep.TAGE = true
-	default:
-		return nil, fmt.Errorf("sim: unknown configuration %q", kind)
-	}
-
 	eng := engine.New(prog, ec)
 	if set.tracer != nil {
 		eng.SetTracer(set.tracer)
 	}
 	s := &Setup{
-		Kind:  kind,
 		Spec:  spec,
 		Prog:  prog,
 		Eng:   eng,
 		Store: memsys.NewStore(),
-		Keep:  tw.Keep,
+		Keep:  p.Keep,
 	}
 
-	if useJukebox {
+	if p.Jukebox {
 		s.Jukebox = prefetch.NewJukebox(prefetch.DefaultJukeboxConfig(), eng, s.Store, spec.Name)
 		eng.AddCompanion(s.Jukebox)
 		s.Mechanisms = append(s.Mechanisms, s.Jukebox)
 	}
-	if useConfluence {
+	if p.Confluence {
 		s.Confluence = prefetch.NewConfluence(prefetch.DefaultConfluenceConfig(), eng)
 		eng.AddCompanion(s.Confluence)
 		s.Mechanisms = append(s.Mechanisms, s.Confluence)
 	}
-	if useIgnite {
-		igCfg := ignite.DefaultConfig()
-		igCfg.DoubleBuffer = tw.DoubleBuffer
-		if tw.BIMPolicy != nil {
-			igCfg.Replay.Policy = *tw.BIMPolicy
-		}
-		if tw.ThrottleThreshold > 0 {
-			igCfg.Replay.ThrottleThreshold = tw.ThrottleThreshold
-		}
-		if tw.MetadataBytes > 0 {
-			igCfg.MetadataBytes = tw.MetadataBytes
-		}
-		s.Ignite = ignite.New(igCfg, eng, s.Store, spec.Name)
+	if p.Ignite != nil {
+		s.Ignite = ignite.New(*p.Ignite, eng, s.Store, spec.Name)
 		s.Ignite.Install()
 		s.Mechanisms = append(s.Mechanisms, igniteMechanism{s.Ignite})
 	}
@@ -249,7 +293,7 @@ func NewWithProgram(spec workload.Spec, prog *cfg.Program, kind Kind, opts ...Op
 		}
 		eng.SetInvocationCheck(s.Checks.CheckInvocation)
 	}
-	return s, nil
+	return s
 }
 
 // igniteMechanism adapts *ignite.Ignite to the lukewarm.Mechanism interface.

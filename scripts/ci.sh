@@ -55,8 +55,9 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 # internal/fleet/budget package holds the budget market's BenchmarkFrontier,
 # internal/cfg the program generator's BenchmarkGenerate and the trace
 # walker's BenchmarkWalk, internal/serve the serving wire's warm path
-# (BenchmarkWarmInvoke).
-go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg ./internal/serve
+# (BenchmarkWarmInvoke), internal/bpred the branch predictor over a
+# committed branch tape (BenchmarkCBP).
+go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg ./internal/serve ./internal/bpred
 
 # The repo benchmark (perfbench/) is its own module built against this one
 # (replace ignite => ../): vet and test it here, so an exported-API change
@@ -152,7 +153,10 @@ go test -race -run 'TestSamplerDeterminism|TestMarketDeterminism|TestFrontier|Te
 # generation timestamp; -parallel and -target-instr are held constant
 # because both are part of the cell-cache manifest. The ablation leg runs
 # abl-throttle (whose cells persist and ship like figure cells) and
-# abl-codec (recorder runs, always local) the same three ways. The -race
+# abl-codec (recorder runs, always local) the same three ways. The synonym
+# leg runs fig8 and fig12 the same three ways: fig12's fdp+ignite simulates
+# what fig8's ignite does, so the cold run ships 8 tasks and seals 9
+# records, each under its own name, and the warm run reads all 9. The -race
 # passes keep the coordinator's work-stealing and failover paths and the
 # ablations' store path honest.
 go test -race ./internal/dist
@@ -186,6 +190,20 @@ go test -race -run 'TestAblationsResumeFromStore|TestAblationsLeaveSharedCacheSt
   for exp in abl-throttle abl-codec; do
     for leg in abl-cold abl-warm; do
       diff <(grep -v '"generated"' "abl-local/$exp.json") \
+           <(grep -v '"generated"' "$leg/$exp.json")
+    done
+  done
+  syn="-exp fig8,fig12 -workloads Fib-G -target-instr 100000 -parallel 2"
+  ./ignite-bench $syn -out syn-local >/dev/null
+  ./ignite-bench $syn -workers 2 -store synstore -out syn-cold >/dev/null 2>syn-cold.log
+  grep -q 'dist: 8 task(s) completed remotely' syn-cold.log
+  grep -q 'store: sealed 9 record(s)' syn-cold.log
+  ./ignite-bench $syn -workers 2 -store synstore -out syn-warm >/dev/null 2>syn-warm.log
+  grep -q 'dist: 0 task(s) completed remotely' syn-warm.log
+  grep -q 'store: 9 hit(s)' syn-warm.log
+  for exp in fig8 fig12; do
+    for leg in syn-cold syn-warm; do
+      diff <(grep -v '"generated"' "syn-local/$exp.json") \
            <(grep -v '"generated"' "$leg/$exp.json")
     done
   done
