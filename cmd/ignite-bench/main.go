@@ -135,7 +135,7 @@ func main() {
 		experiments.BindStore(opt.Cache, cellStore, storeStats)
 	}
 
-	// Distributed sweep: shard fresh cells across worker processes. Cells
+	// Distributed sweep: ship fresh cells to worker processes. Cells
 	// already in the store never reach the wire — the backing is consulted
 	// first — so a warm rerun with -workers is pure local I/O.
 	var coord *dist.Coordinator
@@ -227,9 +227,8 @@ func main() {
 	}
 	printHealth(opt.Health)
 	if coord != nil {
-		tasks, steals, failovers := coord.Stats()
-		fmt.Fprintf(os.Stderr, "dist: %d task(s) completed remotely, %d steal(s), %d failover(s)\n",
-			tasks, steals, failovers)
+		tasks, failovers := coord.Stats()
+		fmt.Fprintf(os.Stderr, "dist: %d task(s) completed remotely, %d failover(s)\n", tasks, failovers)
 		h := coord.Health()
 		fmt.Fprintf(os.Stderr, "dist: %d worker failure(s), %d quarantine(s), %d readmit(s), %d probe(s), %d re-dispatch(es)\n",
 			h.Failures, h.Quarantines, h.Readmits, h.Probes, h.Redispatches)

@@ -5,9 +5,11 @@
 // configuration kind, tweaks and mode — to one of N workers over a small
 // HTTP/JSON protocol, and the returned payload is bit-identical to a local
 // computation because both sides run the same deterministic engine from
-// the same spec. Sharding is by cell-key hash with work stealing: an idle
-// worker pulls queued cells from the busiest queue, so a straggler
-// workload cannot serialize the sweep.
+// the same spec. The coordinator keeps no queue: each cell is dispatched
+// on the goroutine that asks for it, to the up worker with the fewest
+// attempts running, so the experiment scheduler's Parallel bound is the
+// only bound on cells in flight and concurrent cells spread across the
+// fleet.
 //
 // The wire API shares internal/serve's rules through internal/wire:
 // versioned request and response shapes, strict decoding (unknown fields,

@@ -21,7 +21,6 @@ import (
 	"ignite/internal/experiments"
 	"ignite/internal/faults"
 	"ignite/internal/lukewarm"
-	"ignite/internal/obs"
 	"ignite/internal/sim"
 	"ignite/internal/wire"
 	"ignite/internal/workload"
@@ -127,7 +126,7 @@ func TestDistByteIdenticalToLocal(t *testing.T) {
 	if !bytes.Equal(docLocal, docDist) {
 		t.Error("distributed document differs from local run")
 	}
-	if tasks, _, _ := coord.Stats(); tasks != 4 {
+	if tasks, _ := coord.Stats(); tasks != 4 {
 		t.Errorf("coordinator completed %d tasks, want 4 (2 workloads x 2 configs)", tasks)
 	}
 }
@@ -160,7 +159,7 @@ func TestDistAblationByteIdentical(t *testing.T) {
 	if !bytes.Equal(docBytes(t, resLocal, optLocal), docBytes(t, resDist, optDist)) {
 		t.Error("distributed abl-throttle document differs from local run")
 	}
-	if tasks, _, _ := coord.Stats(); tasks != uint64(6*len(optDist.Workloads)) {
+	if tasks, _ := coord.Stats(); tasks != uint64(6*len(optDist.Workloads)) {
 		t.Errorf("coordinator completed %d tasks, want %d (nl plus 5 thresholds per workload)", tasks, 6*len(optDist.Workloads))
 	}
 }
@@ -243,8 +242,8 @@ func TestWorkerRejectsBadTweaks(t *testing.T) {
 
 // TestCoordinatorFailover points the coordinator at one dead address and
 // one live worker: every cell must still complete (the dead worker's
-// failures reroute, not fail, the sweep) and the failover/health metrics
-// must record the reroutes.
+// failures reroute, not fail, the sweep), the dead worker must end down
+// and the live one up, and the health counters must record the failures.
 func TestCoordinatorFailover(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -254,7 +253,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	ln.Close()
 	live := startWorkers(t, 1)[0]
 
-	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{dead, live}, Slots: 1})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{dead, live}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,56 +270,58 @@ func TestCoordinatorFailover(t *testing.T) {
 		t.Errorf("failures = %v, want none (failover should absorb the dead worker)", res.Failures)
 	}
 
-	reg := obs.NewRegistry()
-	coord.RegisterMetrics(reg)
-	vals := reg.Snapshot().Values()
-	deadHealth := vals["dist.worker_health{component=dist,worker="+dead+"}"]
-	liveHealth := vals["dist.worker_health{component=dist,worker="+live+"}"]
-	if deadHealth != 0 || liveHealth != 1 {
-		t.Errorf("health gauges: dead=%v live=%v, want 0 and 1", deadHealth, liveHealth)
+	if coord.workers[0].up.Load() || !coord.workers[1].up.Load() {
+		t.Errorf("health bits: dead up=%v, live up=%v, want false and true",
+			coord.workers[0].up.Load(), coord.workers[1].up.Load())
 	}
-	if vals["dist.worker_failures{component=dist}"] == 0 {
+	if coord.Health().Failures == 0 {
 		t.Error("no worker failures recorded despite a dead worker")
 	}
 }
 
-// TestCoordinatorStealing homes several tasks on worker 0 with worker 0
-// serialized to one slot: worker 1's idle runner must steal from worker
-// 0's queue instead of letting it serialize the sweep.
-func TestCoordinatorStealing(t *testing.T) {
-	addrs := startWorkers(t, 2)
-	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs, Slots: 1})
+// TestCoordinatorSpreadsConcurrentCells dispatches two cells at once to
+// two workers that each hold every task until both tasks have arrived: the
+// second cell's pick must see the first cell's claim and choose the other,
+// idle worker.
+func TestCoordinatorSpreadsConcurrentCells(t *testing.T) {
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	var got [2]atomic.Int32
+	var addrs []string
+	for i := range got {
+		h := NewWorker().Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == PathTask {
+				got[i].Add(1)
+				if arrived.Add(1) == 2 {
+					close(both)
+				}
+				select {
+				case <-both:
+				case <-r.Context().Done():
+				}
+			}
+			h.ServeHTTP(rw, r)
+		}))
+		defer srv.Close()
+		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
+	}
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 
-	base, err := workload.ByName("Fib-G")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.TargetInstr /= 8
-	// Vary the instruction budget until six distinct cells all hash onto
-	// worker 0 — the hot-queue shape stealing exists for.
-	var specs []experiments.CellSpec
-	for budget := base.TargetInstr; len(specs) < 6; budget++ {
-		s := base
-		s.TargetInstr = budget
-		cs := experiments.CellSpec{Workload: s, Config: sim.KindNL, Mode: lukewarm.Interleaved}
-		if coord.home(cs.Key()) == 0 {
-			specs = append(specs, cs)
-		}
-	}
-
 	remote := coord.Remote()
 	var wg sync.WaitGroup
+	specs := distinctCells(t, 2)
 	errs := make([]error, len(specs))
 	for i, cs := range specs {
 		wg.Add(1)
-		go func(i int, cs experiments.CellSpec) {
+		go func() {
 			defer wg.Done()
 			_, errs[i] = remote(context.Background(), cs.Key(), cs, experiments.CellEnv{})
-		}(i, cs)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -328,12 +329,8 @@ func TestCoordinatorStealing(t *testing.T) {
 			t.Fatalf("cell %d: %v", i, err)
 		}
 	}
-	tasks, steals, _ := coord.Stats()
-	if tasks != uint64(len(specs)) {
-		t.Errorf("tasks = %d, want %d", tasks, len(specs))
-	}
-	if steals == 0 {
-		t.Error("no steals recorded: worker 1 idled while worker 0's queue was hot")
+	if a, b := got[0].Load(), got[1].Load(); a != 1 || b != 1 {
+		t.Errorf("workers got %d and %d of the 2 concurrent cells, want 1 each", a, b)
 	}
 }
 
@@ -352,7 +349,7 @@ func TestDrainingWorkerShedsRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := experiments.CellSpec{Workload: spec, Config: sim.KindNL, Mode: lukewarm.Interleaved}
-	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}, Slots: 1, MaxDispatchRounds: 1})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}, MaxDispatchRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,23 +413,20 @@ func TestParseTaskRequestStrict(t *testing.T) {
 	}
 }
 
-// cellsHomedOn finds n distinct cells whose home queue is worker `home` on
-// coord, by varying the instruction budget of a shrunk Fib-G.
-func cellsHomedOn(t *testing.T, coord *Coordinator, home, n int) []experiments.CellSpec {
+// distinctCells returns n distinct cells of a shrunk Fib-G, varying its
+// instruction budget.
+func distinctCells(t *testing.T, n int) []experiments.CellSpec {
 	t.Helper()
 	base, err := workload.ByName("Fib-G")
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.TargetInstr /= 8
-	var specs []experiments.CellSpec
-	for budget := base.TargetInstr; len(specs) < n; budget++ {
+	specs := make([]experiments.CellSpec, n)
+	for i := range specs {
 		s := base
-		s.TargetInstr = budget
-		cs := experiments.CellSpec{Workload: s, Config: sim.KindNL, Mode: lukewarm.Interleaved}
-		if coord.home(cs.Key()) == home {
-			specs = append(specs, cs)
-		}
+		s.TargetInstr += uint64(i)
+		specs[i] = experiments.CellSpec{Workload: s, Config: sim.KindNL, Mode: lukewarm.Interleaved}
 	}
 	return specs
 }
@@ -449,7 +443,7 @@ func payloadBytes(t *testing.T, p experiments.CellPayload) []byte {
 
 // TestTaskCancelNotWorkerFault pins error attribution: canceling a cell's
 // own context mid-call must end that task only — the worker is not blamed
-// (dist.worker_failures stays 0), no failover slot burns, and the worker
+// (Health().Failures stays 0), no failover slot burns, and the worker
 // stays admitted.
 func TestTaskCancelNotWorkerFault(t *testing.T) {
 	// The "worker" answers health probes but hangs every task until the
@@ -472,7 +466,7 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 	defer close(stop)
 	addr := strings.TrimPrefix(srv.URL, "http://")
 
-	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}, Slots: 1})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,11 +486,8 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 	if !errors.Is(rerr, context.Canceled) {
 		t.Fatalf("canceled cell returned %v, want context.Canceled", rerr)
 	}
-	// The runner may still be classifying its canceled attempt; Close waits
-	// for it before the counters are read.
-	coord.Close()
 	if h := coord.Health(); h.Failures != 0 {
-		t.Errorf("dist.worker_failures = %d after a task-owned cancel, want 0", h.Failures)
+		t.Errorf("Health().Failures = %d after a task-owned cancel, want 0", h.Failures)
 	}
 	if !coord.WorkersHealthy() {
 		t.Error("worker lost admission over a task-owned cancel")
@@ -508,9 +499,9 @@ func TestTaskCancelNotWorkerFault(t *testing.T) {
 // drain begins is shed with a retryable envelope, the coordinator fails
 // over, and every cell still completes byte-identical to a local compute.
 func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
-	// Hold the first task on the wire — on whichever worker receives it, as
-	// an idle worker may steal it from its home queue — so the drain
-	// demonstrably begins while a request is outstanding.
+	// Hold the first task on the wire — on whichever worker the coordinator
+	// picks — so the drain demonstrably begins while a request is
+	// outstanding.
 	var held atomic.Bool
 	inflight := make(chan *Worker, 1)
 	release := make(chan struct{})
@@ -529,13 +520,13 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
 	}
 
-	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs, Slots: 1})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 
-	specs := cellsHomedOn(t, coord, 0, 2)
+	specs := distinctCells(t, 2)
 	remote := coord.Remote()
 	type out struct {
 		p   experiments.CellPayload
@@ -582,10 +573,9 @@ func TestWorkerDrainShedsInFlightFailover(t *testing.T) {
 		}
 	}
 	// Cell 0 deterministically fails over (it was on the drained worker's
-	// wire when the drain began). Cell 1 may be taken by the healthy worker
-	// before the drained one ever sees it, so only one failover is
-	// guaranteed.
-	if _, _, failovers := coord.Stats(); failovers < 1 {
+	// wire when the drain began). Cell 1 goes to the healthy worker, the
+	// drained one being down, so only one failover is guaranteed.
+	if _, failovers := coord.Stats(); failovers < 1 {
 		t.Errorf("failovers = %d, want >= 1 (the in-flight cell was shed by the draining worker)", failovers)
 	}
 }
@@ -711,7 +701,7 @@ func TestStalledWorkerFailsOver(t *testing.T) {
 	}
 	defer close(stop)
 
-	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs, Slots: 1, ProbeInterval: 20 * time.Millisecond})
+	coord, err := NewCoordinator(CoordinatorOptions{Addrs: addrs, ProbeInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,7 +732,7 @@ func TestStalledWorkerFailsOver(t *testing.T) {
 	if !bytes.Equal(payloadBytes(t, got), payloadBytes(t, experiments.CellPayload{Res: served.Res, Metrics: served.Metrics})) {
 		t.Error("failover payload differs from local compute")
 	}
-	if _, _, failovers := coord.Stats(); failovers < 1 {
+	if _, failovers := coord.Stats(); failovers < 1 {
 		t.Errorf("failovers = %d, want >= 1", failovers)
 	}
 	if h := coord.Health(); h.Quarantines < 1 {
@@ -762,7 +752,7 @@ func TestProberReadmitsRestartedWorker(t *testing.T) {
 	ln.Close() // the worker is "down"
 
 	coord, err := NewCoordinator(CoordinatorOptions{
-		Addrs: []string{addr}, Slots: 1,
+		Addrs:             []string{addr},
 		ProbeInterval:     20 * time.Millisecond,
 		MaxDispatchRounds: 1,
 	})

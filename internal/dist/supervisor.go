@@ -87,7 +87,6 @@ type Supervisor struct {
 	wg       sync.WaitGroup
 
 	restarts obs.Counter
-	gaveUp   obs.Counter
 }
 
 // StartSupervisor spawns the fleet and its monitors. Close stops both.
@@ -123,13 +122,6 @@ func (s *Supervisor) Addrs() []string { return append([]string(nil), s.addrs...)
 
 // Restarts returns how many worker restarts the supervisor has performed.
 func (s *Supervisor) Restarts() uint64 { return s.restarts.Value() }
-
-// RegisterMetrics exports the supervisor's counters on reg.
-func (s *Supervisor) RegisterMetrics(reg *obs.Registry) {
-	l := obs.L("component", "dist")
-	reg.CounterFunc("dist.worker_restarts", l, s.restarts.Value)
-	reg.CounterFunc("dist.workers_abandoned", l, s.gaveUp.Value)
-}
 
 // Kill SIGKILLs worker i's current process — the chaos harness's murder
 // weapon. The monitor notices and restarts it.
@@ -233,7 +225,6 @@ func (s *Supervisor) monitor(i int) {
 		for {
 			if consecutive >= maxRestarts {
 				s.opts.Log("worker %d (%s) burned its %d-restart budget; abandoning it", i, addr, maxRestarts)
-				s.gaveUp.Inc()
 				return
 			}
 			consecutive++

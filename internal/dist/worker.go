@@ -15,7 +15,6 @@ import (
 
 	"ignite/internal/experiments"
 	"ignite/internal/faults"
-	"ignite/internal/obs"
 	"ignite/internal/wire"
 )
 
@@ -182,10 +181,3 @@ func RunWorker(ctx context.Context, addr string) error {
 
 // CacheStats reports the worker cache's distinct cells and hit count.
 func (w *Worker) CacheStats() (cells, hits int) { return w.cache.Stats() }
-
-// RegisterMetrics exports the worker's counters on reg.
-func (w *Worker) RegisterMetrics(reg *obs.Registry) {
-	l := obs.L("component", "dist-worker")
-	reg.CounterFunc("dist.worker_tasks_done", l, w.done.Load)
-	reg.GaugeFunc("dist.worker_inflight", l, func() float64 { return float64(w.inflight.Load()) })
-}

@@ -42,10 +42,11 @@ var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 // loaded and saved by that named key, but simulated by their effective key
 // (effectiveCell): a named cell the store does not hold joins or starts the
 // effective key's flight, so fig12's fdp+ignite and the sweeps' Table-2
-// points ride on the ignite cell fig8 simulates. Cells are also fed
-// pre-generated committed traces: the walk depends only on the program and
-// seed, never on the front-end configuration, so a workload's ~6 invocation
-// traces are identical across every cell.
+// points ride on the ignite cell fig8 simulates; a cell loaded from the
+// store finishes its effective key's flight, so its twins join it too.
+// Cells are also fed pre-generated committed traces: the walk depends only
+// on the program and seed, never on the front-end configuration, so a
+// workload's ~6 invocation traces are identical across every cell.
 type CellCache struct {
 	mu    *sync.Mutex // shared with forks, see fork
 	progs map[string]*progEntry
@@ -221,6 +222,7 @@ func (cc *CellCache) cell(ctx context.Context, key string, cs CellSpec, env Cell
 		if cc.backing != nil {
 			if p, ok := cc.backing.Load(key); ok {
 				e.p = &p
+				cc.adopt(cs, e)
 				return
 			}
 		}
@@ -248,7 +250,7 @@ func (cc *CellCache) simulate(ctx context.Context, key string, cs CellSpec, env 
 	if err != nil {
 		return nil, err
 	}
-	f := cc.flight(ek)
+	f := cc.flight(ek, &cellEntry{})
 	f.once.Do(func() {
 		defer recoverInto(f)
 		var p CellPayload
@@ -273,18 +275,27 @@ func (cc *CellCache) simulate(ctx context.Context, key string, cs CellSpec, env 
 	return f.p, f.err
 }
 
+// adopt makes e, a cell just loaded from the backing, the finished flight
+// of cs's effective key unless this cache or an ancestor already holds a
+// flight for that key, so a twin the backing lacks joins it instead of
+// simulating again.
+func (cc *CellCache) adopt(cs CellSpec, e *cellEntry) {
+	if _, ek, err := effectiveKey(cs); err == nil {
+		cc.flight(ek, e)
+	}
+}
+
 // flight returns the flight of effective key ek: the entry of the nearest
-// cache that holds one, this cache or an ancestor, or else a new entry in
-// this cache's own flights.
-func (cc *CellCache) flight(ek [sha256.Size]byte) *cellEntry {
+// cache that holds one, this cache or an ancestor, or else f, which it
+// adds to this cache's own flights.
+func (cc *CellCache) flight(ek [sha256.Size]byte, f *cellEntry) *cellEntry {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	for c := cc; c != nil; c = c.parent {
-		if f, ok := c.flights[ek]; ok {
-			return f
+		if found, ok := c.flights[ek]; ok {
+			return found
 		}
 	}
-	f := &cellEntry{}
 	cc.flights[ek] = f
 	return f
 }

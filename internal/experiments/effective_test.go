@@ -10,6 +10,7 @@ import (
 	"ignite/internal/lukewarm"
 	"ignite/internal/obs"
 	"ignite/internal/sim"
+	"ignite/internal/store"
 	"ignite/internal/workload"
 )
 
@@ -135,4 +136,51 @@ func TestRunAllSimulatesEachEffectiveCellOnce(t *testing.T) {
 		return *p, nil
 	})
 	check("remote", remote, shipped.Load)
+}
+
+// TestStoreHitFinishesTwinsFlight resumes from a store that holds only
+// ignite's record: loading it finishes the flight of its effective key, so
+// fdp+ignite, which the store lacks, joins that flight instead of
+// simulating, and is saved under its own name.
+func TestStoreHitFinishesTwinsFlight(t *testing.T) {
+	wl, err := workload.ByName("Fib-G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl.TargetInstr /= 8
+	ig := CellSpec{Workload: wl, Config: sim.KindIgnite, Mode: lukewarm.Interleaved}
+	twin := CellSpec{Workload: wl, Config: sim.KindFDPIgnite, Mode: lukewarm.Interleaved}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := NewCellCache()
+	BindStore(seed, st, nil)
+	if _, _, err := seed.cell(context.Background(), ig.Key(), ig, CellEnv{}); err != nil {
+		t.Fatal(err)
+	}
+
+	cc := NewCellCache()
+	stats := &StoreStats{}
+	BindStore(cc, st, stats)
+	var shipped atomic.Int64
+	cc.SetRemote(func(_ context.Context, key string, cs CellSpec, env CellEnv) (CellPayload, error) {
+		shipped.Add(1)
+		p, _, err := NewCellCache().Invoke(key, cs, env)
+		if err != nil {
+			return CellPayload{}, err
+		}
+		return *p, nil
+	})
+	for _, cs := range []CellSpec{ig, twin} {
+		if _, _, err := cc.cell(context.Background(), cs.Key(), cs, CellEnv{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := shipped.Load(); n != 0 {
+		t.Errorf("%d cell(s) simulated, want 0: fdp+ignite should join the flight ignite's record finished", n)
+	}
+	if hits, saves := stats.Hits.Value(), stats.Saves.Value(); hits != 1 || saves != 1 {
+		t.Errorf("store: %d hit(s), %d save(s), want 1 and 1", hits, saves)
+	}
 }

@@ -45,7 +45,7 @@ type Options struct {
 	// bit-identical with or without a cache.
 	Cache *CellCache
 	// Tracer, when set, receives run-progress events (CellDone on every
-	// finished cell, CacheHit on cache-served ones) and is installed on
+	// finished cell, Cached set on cache-served ones) and is installed on
 	// every freshly simulated cell's engine, which then emits
 	// invocation/replay lifecycle events. Cells run concurrently, so the
 	// tracer must be safe for concurrent use (every obs implementation
@@ -388,9 +388,6 @@ func runMatrix(ctx context.Context, id ID, opt Options, configs []runConfig) (*m
 		}
 		store(spec.Name, rc.Name, c)
 		if tr := opt.Tracer; tr != nil {
-			if cached {
-				tr.CacheHit(obs.CacheHitEvent{Workload: spec.Name, Config: rc.Name})
-			}
 			tr.CellDone(obs.CellDoneEvent{
 				Experiment: string(id),
 				Workload:   spec.Name,

@@ -13,22 +13,12 @@ import (
 // StoreStats counts the persistent store's traffic during a run: warm
 // hits, misses (fresh computes), records persisted, and corruption
 // detections (each one is a record or manifest that failed integrity
-// verification and was recomputed instead of served). Registered as the
-// store.* obs metric family.
+// verification and was recomputed instead of served).
 type StoreStats struct {
 	Hits    obs.Counter
 	Misses  obs.Counter
 	Saves   obs.Counter
 	Corrupt obs.Counter
-}
-
-// RegisterMetrics exports the counters on reg.
-func (st *StoreStats) RegisterMetrics(reg *obs.Registry) {
-	l := obs.L("component", "store")
-	reg.CounterFunc("store.hits", l, st.Hits.Value)
-	reg.CounterFunc("store.misses", l, st.Misses.Value)
-	reg.CounterFunc("store.saves", l, st.Saves.Value)
-	reg.CounterFunc("store.corrupt_detected", l, st.Corrupt.Value)
 }
 
 // storeBacking adapts internal/store to the cell cache's CellBacking seam:

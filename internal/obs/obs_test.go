@@ -154,9 +154,9 @@ func TestCollectorAndMulti(t *testing.T) {
 	var tr Tracer = MultiTracer{&a, &b}
 	tr.InvocationStart(InvocationStartEvent{Seed: 1})
 	tr.CellDone(CellDoneEvent{Experiment: "fig8", Workload: "Auth-G", Config: "ignite"})
-	tr.CacheHit(CacheHitEvent{Workload: "Auth-G", Config: "nl"})
+	tr.CellDone(CellDoneEvent{Experiment: "fig8", Workload: "Auth-G", Config: "nl", Cached: true})
 	for _, c := range []*Collector{&a, &b} {
-		if c.Count("") != 3 || c.Count("cell_done") != 1 || c.Count("cache_hit") != 1 {
+		if c.Count("") != 3 || c.Count("cell_done") != 2 || c.Count("invocation_start") != 1 {
 			t.Errorf("collector counts wrong: %+v", c.Events)
 		}
 	}

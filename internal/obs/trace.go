@@ -27,9 +27,6 @@ type Tracer interface {
 	// CellDone fires when the experiment scheduler completes one
 	// (workload, config) simulation cell.
 	CellDone(CellDoneEvent)
-	// CacheHit fires when a cell request is served from the shared
-	// cross-experiment cell cache instead of being simulated.
-	CacheHit(CacheHitEvent)
 	// CellRetried fires when a cell attempt failed with a transient error
 	// and the scheduler is about to retry it after a backoff.
 	CellRetried(CellRetriedEvent)
@@ -68,7 +65,9 @@ type ReplayEndEvent struct {
 }
 
 // CellDoneEvent marks one (workload, config) cell completing inside an
-// experiment matrix. Done/Total describe progress through that matrix.
+// experiment matrix. Cached reports a cell served from the shared cell
+// cache instead of simulated; Done/Total describe progress through that
+// matrix.
 type CellDoneEvent struct {
 	Experiment string        `json:"experiment"`
 	Workload   string        `json:"workload"`
@@ -77,12 +76,6 @@ type CellDoneEvent struct {
 	Done       int           `json:"done"`
 	Total      int           `json:"total"`
 	Elapsed    time.Duration `json:"elapsedNs"`
-}
-
-// CacheHitEvent marks a cell request served from the shared cell cache.
-type CacheHitEvent struct {
-	Workload string `json:"workload"`
-	Config   string `json:"config"`
 }
 
 // CellRetriedEvent marks one failed cell attempt about to be retried.
@@ -119,7 +112,6 @@ func (BaseTracer) InvocationEnd(InvocationEndEvent)     {}
 func (BaseTracer) ReplayStart(ReplayStartEvent)         {}
 func (BaseTracer) ReplayEnd(ReplayEndEvent)             {}
 func (BaseTracer) CellDone(CellDoneEvent)               {}
-func (BaseTracer) CacheHit(CacheHitEvent)               {}
 func (BaseTracer) CellRetried(CellRetriedEvent)         {}
 func (BaseTracer) CellFailed(CellFailedEvent)           {}
 
@@ -151,11 +143,6 @@ func (m MultiTracer) ReplayEnd(e ReplayEndEvent) {
 func (m MultiTracer) CellDone(e CellDoneEvent) {
 	for _, t := range m {
 		t.CellDone(e)
-	}
-}
-func (m MultiTracer) CacheHit(e CacheHitEvent) {
-	for _, t := range m {
-		t.CacheHit(e)
 	}
 }
 func (m MultiTracer) CellRetried(e CellRetriedEvent) {
@@ -193,7 +180,6 @@ func (c *Collector) InvocationEnd(e InvocationEndEvent)     { c.add("invocation_
 func (c *Collector) ReplayStart(e ReplayStartEvent)         { c.add("replay_start", e) }
 func (c *Collector) ReplayEnd(e ReplayEndEvent)             { c.add("replay_end", e) }
 func (c *Collector) CellDone(e CellDoneEvent)               { c.add("cell_done", e) }
-func (c *Collector) CacheHit(e CacheHitEvent)               { c.add("cache_hit", e) }
 func (c *Collector) CellRetried(e CellRetriedEvent)         { c.add("cell_retried", e) }
 func (c *Collector) CellFailed(e CellFailedEvent)           { c.add("cell_failed", e) }
 
@@ -239,6 +225,5 @@ func (t *WriterTracer) InvocationEnd(e InvocationEndEvent)     { t.emit("invocat
 func (t *WriterTracer) ReplayStart(e ReplayStartEvent)         { t.emit("replay_start", e) }
 func (t *WriterTracer) ReplayEnd(e ReplayEndEvent)             { t.emit("replay_end", e) }
 func (t *WriterTracer) CellDone(e CellDoneEvent)               { t.emit("cell_done", e) }
-func (t *WriterTracer) CacheHit(e CacheHitEvent)               { t.emit("cache_hit", e) }
 func (t *WriterTracer) CellRetried(e CellRetriedEvent)         { t.emit("cell_retried", e) }
 func (t *WriterTracer) CellFailed(e CellFailedEvent)           { t.emit("cell_failed", e) }

@@ -156,9 +156,12 @@ go test -race -run 'TestSamplerDeterminism|TestMarketDeterminism|TestFrontier|Te
 # abl-codec (recorder runs, always local) the same three ways. The synonym
 # leg runs fig8 and fig12 the same three ways: fig12's fdp+ignite simulates
 # what fig8's ignite does, so the cold run ships 8 tasks and seals 9
-# records, each under its own name, and the warm run reads all 9. The -race
-# passes keep the coordinator's work-stealing and failover paths and the
-# ablations' store path honest.
+# records, each under its own name, and the warm run reads all 9. The
+# resume leg extends a store sealed by fig8 alone with fig12 on the fleet:
+# fdp+ignite joins the flight that its stored ignite twin finished, so only
+# fig12's two confluence cells ship. The -race passes keep the
+# coordinator's dispatch (least-busy picks under concurrency, failover,
+# drain) and the ablations' store path honest.
 go test -race ./internal/dist
 go test -race -run 'TestAblationsResumeFromStore|TestAblationsLeaveSharedCacheStats' ./internal/experiments
 (
@@ -206,6 +209,15 @@ go test -race -run 'TestAblationsResumeFromStore|TestAblationsLeaveSharedCacheSt
       diff <(grep -v '"generated"' "syn-local/$exp.json") \
            <(grep -v '"generated"' "$leg/$exp.json")
     done
+  done
+  res="-workloads Fib-G -target-instr 100000 -parallel 2"
+  ./ignite-bench -exp fig8 $res -store resstore >/dev/null
+  ./ignite-bench -exp fig8,fig12 $res -workers 2 -store resstore -out res-cold >/dev/null 2>res-cold.log
+  grep -q 'dist: 2 task(s) completed remotely' res-cold.log
+  grep -q 'store: sealed 9 record(s)' res-cold.log
+  for exp in fig8 fig12; do
+    diff <(grep -v '"generated"' "syn-local/$exp.json") \
+         <(grep -v '"generated"' "res-cold/$exp.json")
   done
 )
 
