@@ -75,6 +75,8 @@ type Report struct {
 	Experiments int              // experiments swept (x3 passes)
 	Kills       int              // workers actually SIGKILLed
 	Restarts    uint64           // supervisor restarts performed
+	Tasks       uint64           // cells the coordinator completed remotely
+	Failovers   uint64           // attempts failed over to another worker
 	Health      dist.HealthStats // coordinator self-healing counters
 	Root        string           // sealed Merkle root after the chaos pass
 	WarmRoot    string           // sealed Merkle root after the warm replay
@@ -296,10 +298,13 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		return nil, fmt.Errorf("chaos: warm replay resealed to root %s, chaos pass sealed %s", warmRoot, root)
 	}
 
+	tasks, failovers := coord.Stats()
 	return &Report{
 		Experiments: len(ids),
 		Kills:       int(killed.Load()),
 		Restarts:    sup.Restarts(),
+		Tasks:       tasks,
+		Failovers:   failovers,
 		Health:      coord.Health(),
 		Root:        root,
 		WarmRoot:    warmRoot,

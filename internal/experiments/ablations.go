@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"ignite/internal/btb"
 	"ignite/internal/check"
 	"ignite/internal/engine"
 	"ignite/internal/faults"
@@ -26,10 +27,12 @@ func init() {
 
 // AblCodec sweeps the compact-record delta widths and reports bits per
 // record — the study behind the paper's footnote 6 claim that 7-bit
-// branch-PC and 21-bit target deltas compress best. Its six recorder runs
-// are scheduler cells (retry, per-cell deadline, MaxCycles watchdog,
-// Checks) over the cache's program memo; rows assemble in config order, and
-// a failed run fails the experiment under either failure policy.
+// branch-PC and 21-bit target deltas compress best. The recorders are
+// passive, so one engine runs the study: one scheduler cell (retry,
+// per-cell deadline, MaxCycles watchdog, Checks, Tracer) over the cache's
+// program memo feeds every commit-time BTB insertion to one recorder per
+// codec, and rows assemble in config order. A failed run fails the
+// experiment under either failure policy.
 func AblCodec(ctx context.Context, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	configs := []struct{ pc, tgt uint }{
@@ -45,32 +48,40 @@ func AblCodec(ctx context.Context, opt Options) (*Result, error) {
 	type codecRow struct{ records, compact, used int }
 	rows := make([]codecRow, len(configs))
 	sched := newScheduler(ctx, "abl-codec", opt)
-	for i, w := range configs {
-		name := fmt.Sprintf("%d/%d", w.pc, w.tgt)
-		sched.submit(spec.Name, name, func(cctx context.Context, _ int) error {
-			if err := opt.Faults.Fire(cctx, faults.Site{Experiment: "abl-codec", Workload: spec.Name, Config: name}); err != nil {
-				return err
-			}
+	sched.submit(spec.Name, "codecs", func(cctx context.Context, _ int) error {
+		if err := opt.Faults.Fire(cctx, faults.Site{Experiment: "abl-codec", Workload: spec.Name, Config: "codecs"}); err != nil {
+			return err
+		}
+		ec := engine.DefaultConfig()
+		ec.MaxCycles = opt.MaxCycles
+		eng := engine.New(prog, ec)
+		eng.SetTracer(opt.Tracer)
+		if opt.Checks {
+			eng.SetInvocationCheck(check.New(eng).CheckInvocation)
+		}
+		recs := make([]*ignite.Recorder, len(configs))
+		regions := make([]*memsys.Region, len(configs))
+		for i, w := range configs {
 			codec := ignite.CodecConfig{DeltaPCBits: w.pc, DeltaTargetBits: w.tgt, FullAddrBits: 48}
-			ec := engine.DefaultConfig()
-			ec.MaxCycles = opt.MaxCycles
-			eng := engine.New(prog, ec)
-			if opt.Checks {
-				eng.SetInvocationCheck(check.New(eng).CheckInvocation)
+			regions[i] = memsys.NewRegion(0, 4<<20) // unbounded for the study
+			recs[i] = ignite.NewRecorder(codec, regions[i], nil)
+			recs[i].Start()
+		}
+		eng.BTB().OnInsert(func(e btb.Entry) {
+			for _, rec := range recs {
+				rec.OnBTBInsert(e)
 			}
-			region := memsys.NewRegion(0, 4<<20) // unbounded for the study
-			rec := ignite.NewRecorder(codec, region, nil)
-			rec.Attach(eng.BTB())
-			rec.Start()
-			eng.Thrash(1)
-			if _, err := eng.RunInvocation(engine.InvocationOptions{Seed: 1, MaxInstr: spec.MaxInstr()}); err != nil {
-				return err
-			}
-			rec.Stop()
-			rows[i] = codecRow{rec.Records(), rec.CompactRecords(), region.Used()}
-			return nil
 		})
-	}
+		eng.Thrash(1)
+		if _, err := eng.RunInvocation(engine.InvocationOptions{Seed: 1, MaxInstr: spec.MaxInstr()}); err != nil {
+			return err
+		}
+		for i, rec := range recs {
+			rec.Stop()
+			rows[i] = codecRow{rec.Records(), rec.CompactRecords(), regions[i].Used()}
+		}
+		return nil
+	})
 	if err := joinOutcomes(sched.wait(), ctx.Err()); err != nil {
 		return nil, err
 	}

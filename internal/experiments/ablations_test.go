@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ignite/internal/engine"
@@ -13,6 +14,7 @@ import (
 	"ignite/internal/ignite"
 	"ignite/internal/lukewarm"
 	"ignite/internal/memsys"
+	"ignite/internal/obs"
 	"ignite/internal/sim"
 	"ignite/internal/stats"
 	"ignite/internal/workload"
@@ -262,5 +264,28 @@ func TestAblCodecHonorsMaxCyclesAndChecks(t *testing.T) {
 	o.Checks = true
 	if _, err := Run(context.Background(), "abl-codec", o); err != nil {
 		t.Errorf("abl-codec with checks: %v", err)
+	}
+}
+
+// invocationStarts counts every invocation start a tracer sees.
+type invocationStarts struct {
+	obs.BaseTracer
+	n atomic.Int64
+}
+
+func (c *invocationStarts) InvocationStart(obs.InvocationStartEvent) { c.n.Add(1) }
+
+// TestAblCodecTraced pins that the codec study runs one engine for all six
+// codecs and that the engine reports to the run's tracer, as cell engines
+// do: the tracer sees exactly one invocation start.
+func TestAblCodecTraced(t *testing.T) {
+	opt := ablationOpts(t, 32)
+	tr := &invocationStarts{}
+	opt.Tracer = tr
+	if _, err := Run(context.Background(), "abl-codec", opt); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.n.Load(); n != 1 {
+		t.Errorf("abl-codec: the tracer saw %d invocation starts, want 1", n)
 	}
 }

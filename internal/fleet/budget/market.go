@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,10 +72,13 @@ type Outcome struct {
 	MeanResidentBytes float64
 }
 
-// event is one arrival in the merged schedule.
+// event is one arrival in the merged schedule. Its times are converted to
+// seconds once, when the tape is built, for every replay to read.
 type event struct {
 	at     time.Duration
 	tenant int
+	now    float64 // at.Seconds()
+	gap    float64 // seconds since the previous arrival (since 0 for the first)
 }
 
 // tenantSeed decorrelates per-tenant schedules (splitmix64 increment).
@@ -89,10 +91,16 @@ func tenantSeed(seed uint64, i int) uint64 {
 // order is total and deterministic. The tape depends on the tenants, seed,
 // process and duration only, never on the policy or budget.
 func mergedSchedule(tenants []Tenant, p Params) []event {
-	var events []event
+	schedules := make([][]time.Duration, len(tenants))
+	n := 0
 	for i, t := range tenants {
-		for _, at := range loadgen.Schedule(p.Process, t.F.RatePerSec, p.Duration, tenantSeed(p.Seed, i)) {
-			events = append(events, event{at, i})
+		schedules[i] = loadgen.Schedule(p.Process, t.F.RatePerSec, p.Duration, tenantSeed(p.Seed, i))
+		n += len(schedules[i])
+	}
+	events := make([]event, 0, n)
+	for i, s := range schedules {
+		for _, at := range s {
+			events = append(events, event{at: at, tenant: i})
 		}
 	}
 	slices.SortFunc(events, func(a, b event) int {
@@ -101,6 +109,12 @@ func mergedSchedule(tenants []Tenant, p Params) []event {
 		}
 		return cmp.Compare(a.tenant, b.tenant)
 	})
+	var last time.Duration
+	for i := range events {
+		ev := &events[i]
+		ev.now, ev.gap = ev.at.Seconds(), (ev.at - last).Seconds()
+		last = ev.at
+	}
 	return events
 }
 
@@ -146,15 +160,12 @@ func replay(tenants []Tenant, p Params, events []event) (Outcome, error) {
 	coldCount := make([]int, len(tenants))
 	var used uint64
 	var residentIntegral float64 // byte-seconds
-	lastAt := time.Duration(0)
 
 	out := Outcome{Policy: p.Policy.Name(), BudgetBytes: p.BudgetBytes}
 	var cycles, instrs float64
 
 	for _, ev := range events {
-		residentIntegral += float64(used) * (ev.at - lastAt).Seconds()
-		lastAt = ev.at
-		now := ev.at.Seconds()
+		residentIntegral += float64(used) * ev.gap
 		i := ev.tenant
 		t := &tenants[i]
 
@@ -162,12 +173,12 @@ func replay(tenants []Tenant, p Params, events []event) (Outcome, error) {
 			out.Warm++
 			warmCount[i]++
 			cycles += t.C.WarmCPI * float64(t.C.Instrs)
-			p.Policy.OnHit(i, now)
+			p.Policy.OnHit(i, ev.now)
 		} else {
 			out.Cold++
 			coldCount[i]++
 			cycles += t.C.ColdCPI * float64(t.C.Instrs)
-			admit, victims := p.Policy.OnMiss(i, now)
+			admit, victims := p.Policy.OnMiss(i, ev.now)
 			for _, v := range victims {
 				if !resident[v] {
 					return Outcome{}, fmt.Errorf("budget: policy %s evicted non-resident tenant %s",
@@ -192,7 +203,7 @@ func replay(tenants []Tenant, p Params, events []event) (Outcome, error) {
 		}
 		instrs += float64(t.C.Instrs)
 	}
-	residentIntegral += float64(used) * (p.Duration - lastAt).Seconds()
+	residentIntegral += float64(used) * (p.Duration - events[len(events)-1].at).Seconds()
 
 	out.Invocations = out.Warm + out.Cold
 	out.HitRatio = float64(out.Warm) / float64(out.Invocations)
@@ -210,8 +221,9 @@ func replay(tenants []Tenant, p Params, events []event) (Outcome, error) {
 			pairs = append(pairs, cpiWeight{t.C.WarmCPI, warmCount[i]})
 		}
 	}
-	out.P50CPI = weightedPercentile(pairs, 0.50)
-	out.P99CPI = weightedPercentile(pairs, 0.99)
+	slices.SortFunc(pairs, func(a, b cpiWeight) int { return cmp.Compare(a.cpi, b.cpi) })
+	out.P50CPI = weightedPercentile(pairs, out.Invocations, 0.50)
+	out.P99CPI = weightedPercentile(pairs, out.Invocations, 0.99)
 	return out, nil
 }
 
@@ -221,15 +233,11 @@ type cpiWeight struct {
 }
 
 // weightedPercentile returns the smallest CPI value whose cumulative
-// invocation count reaches q of the total (nearest-rank over weights).
-func weightedPercentile(pairs []cpiWeight, q float64) float64 {
+// invocation count reaches q of total (nearest-rank over weights). pairs
+// are sorted by CPI, and their counts sum to total.
+func weightedPercentile(pairs []cpiWeight, total int, q float64) float64 {
 	if len(pairs) == 0 {
 		return 0
-	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].cpi < pairs[b].cpi })
-	total := 0
-	for _, p := range pairs {
-		total += p.n
 	}
 	rank := int(math.Ceil(q * float64(total)))
 	if rank < 1 {

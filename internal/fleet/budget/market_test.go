@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -380,6 +381,182 @@ func TestLRUTieEvictsLowerIndex(t *testing.T) {
 		p.OnHit(1, 3)
 		if admit, victims := p.OnMiss(2, 4); !admit || len(victims) != 1 || victims[0] != 0 {
 			t.Errorf("%T: OnMiss(2) = %v, %v; want admit with victims [0]", p, admit, victims)
+		}
+	}
+}
+
+// scanBenefit is the Benefit the rank bitset replaced, kept as the
+// reference: on a miss that needs room it scans every tenant for residents
+// of strictly lower density and sorts them by (density, index).
+type scanBenefit struct {
+	budget, used uint64
+	size         []uint64
+	resident     []bool
+	score        []float64
+}
+
+func (p *scanBenefit) Name() string { return "benefit" }
+
+func (p *scanBenefit) Reset(tenants []budget.Tenant, b uint64) {
+	p.budget, p.used = b, 0
+	p.size = make([]uint64, len(tenants))
+	p.resident = make([]bool, len(tenants))
+	p.score = make([]float64, len(tenants))
+	for i, t := range tenants {
+		p.size[i], p.score[i] = t.C.MetaBytes, budget.BenefitScore(t)
+	}
+}
+
+func (p *scanBenefit) OnHit(int, float64) {}
+
+func (p *scanBenefit) OnMiss(i int, _ float64) (bool, []int) {
+	need := p.size[i]
+	if need > p.budget {
+		return false, nil
+	}
+	free := p.budget - p.used
+	if free >= need {
+		p.resident[i] = true
+		p.used += need
+		return true, nil
+	}
+	type cand struct {
+		idx   int
+		score float64
+	}
+	var cands []cand
+	for j, res := range p.resident {
+		if res && p.score[j] < p.score[i] {
+			cands = append(cands, cand{j, p.score[j]})
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].score != cands[b].score {
+			return cands[a].score < cands[b].score
+		}
+		return cands[a].idx < cands[b].idx
+	})
+	var victims []int
+	freed := free
+	for _, c := range cands {
+		if freed >= need {
+			break
+		}
+		victims = append(victims, c.idx)
+		freed += p.size[c.idx]
+	}
+	if freed < need {
+		return false, nil
+	}
+	for _, v := range victims {
+		p.resident[v] = false
+		p.used -= p.size[v]
+	}
+	p.resident[i] = true
+	p.used += need
+	return true, victims
+}
+
+// TestBenefitMatchesScanReference pins the ranked Benefit to the scanning
+// one it replaced: identical outcomes at TestLRUMatchesSortedReference's
+// tenant sets, seeds and budgets, and on the default fleet (1000 tenants
+// sampled with seed 1, arrival seed 1) at the budgets where Benefit evicts.
+func TestBenefitMatchesScanReference(t *testing.T) {
+	cases := []struct {
+		tenantSeed, runSeed uint64
+		n                   int
+		budgets             []uint64
+	}{
+		{21, 9, 200, []uint64{6 << 20}},
+		{33, 17, 150, []uint64{1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 64 << 20}},
+		{1, 1, 1000, []uint64{2 << 20, 8 << 20, 16 << 20}},
+	}
+	evictions := 0
+	for _, c := range cases {
+		tenants := sampleTenants(t, c.tenantSeed, c.n)
+		for _, b := range c.budgets {
+			got, err := budget.Run(tenants, runParams(c.runSeed, b, budget.NewBenefit()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := budget.Run(tenants, runParams(c.runSeed, b, &scanBenefit{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, _ := json.Marshal(got)
+			wantJSON, _ := json.Marshal(want)
+			if string(gotJSON) != string(wantJSON) {
+				t.Errorf("tenants %d, seed %d, %d MiB:\nranked: %s\nscan:   %s",
+					c.tenantSeed, c.runSeed, b>>20, gotJSON, wantJSON)
+			}
+			evictions += got.Evictions
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("no budget evicted anything; the comparison is vacuous")
+	}
+}
+
+// TestBenefitDisplacesOnlyLowerDensity drives both Benefit policies
+// directly. Tenant i of the fixture has density dens[i] and size sizes[i]
+// (in bytes) under a 100-byte budget.
+func TestBenefitDisplacesOnlyLowerDensity(t *testing.T) {
+	fixture := func(dens []float64, sizes []uint64) []budget.Tenant {
+		tenants := make([]budget.Tenant, len(dens))
+		for i := range tenants {
+			tenants[i].F.RatePerSec = 1
+			tenants[i].C = budget.Costs{ColdCPI: 2, WarmCPI: 1, MetaBytes: sizes[i],
+				Instrs: uint64(dens[i] * float64(sizes[i]))}
+		}
+		return tenants
+	}
+	type miss struct {
+		tenant  int
+		admit   bool
+		victims []int
+	}
+	cases := []struct {
+		name  string
+		dens  []float64
+		sizes []uint64
+		steps []miss
+	}{
+		{
+			// An equal-density resident is never displaced, even by a
+			// newcomer of higher index.
+			"equal density",
+			[]float64{1, 1, 3, 4},
+			[]uint64{50, 50, 50, 100},
+			[]miss{{0, true, nil}, {2, true, nil}, {1, false, nil}, {3, true, []int{0, 2}}},
+		},
+		{
+			// Equal lower-density residents go lower index first, whatever
+			// order they were admitted in.
+			"tie",
+			[]float64{1, 1, 2},
+			[]uint64{50, 50, 50},
+			[]miss{{1, true, nil}, {0, true, nil}, {2, true, []int{0}}},
+		},
+		{
+			// The lower-density residents cannot free enough: refused, and
+			// nothing is evicted, so a denser newcomer still finds both.
+			"refused",
+			[]float64{1, 3, 2, 4},
+			[]uint64{50, 50, 100, 100},
+			[]miss{{0, true, nil}, {1, true, nil}, {2, false, nil}, {3, true, []int{0, 1}}},
+		},
+	}
+	for _, c := range cases {
+		tenants := fixture(c.dens, c.sizes)
+		for _, p := range []budget.Policy{budget.NewBenefit(), &scanBenefit{}} {
+			p.Reset(tenants, 100)
+			for _, m := range c.steps {
+				admit, victims := p.OnMiss(m.tenant, 0)
+				if admit != m.admit || !slices.Equal(victims, m.victims) {
+					t.Errorf("%s, %T: OnMiss(%d) = %v, %v; want %v, %v",
+						c.name, p, m.tenant, admit, victims, m.admit, m.victims)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package budget
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -128,10 +131,15 @@ func (p *LRU) OnMiss(i int, _ float64) (bool, []int) {
 // Benefit is the cost-aware policy: it admits a recorded tenant only when
 // its benefit density exceeds that of the residents it would displace —
 // evictions only ever trade lower-density metadata for higher-density
-// metadata, never churn on recency alone.
+// metadata, never churn on recency alone. Reset ranks the tenants once by
+// (density, index), and the residents are a bitset over ranks, so a miss
+// walks its candidate victims in eviction order without a scan or a sort.
 type Benefit struct {
 	residency
-	score []float64
+	byRank   []int    // rank → tenant
+	rank     []int    // tenant → rank
+	floor    []int    // tenant → the first rank of its density
+	resRanks []uint64 // bit r is set while the tenant of rank r is resident
 }
 
 // NewBenefit returns the SPES-style benefit-per-byte policy.
@@ -141,10 +149,28 @@ func (p *Benefit) Name() string { return "benefit" }
 
 func (p *Benefit) Reset(tenants []Tenant, budget uint64) {
 	p.reset(tenants, budget)
-	p.score = make([]float64, len(tenants))
+	n := len(tenants)
+	score := make([]float64, n)
+	p.byRank = make([]int, n)
 	for i, t := range tenants {
-		p.score[i] = benefitScore(t)
+		score[i], p.byRank[i] = benefitScore(t), i
 	}
+	slices.SortFunc(p.byRank, func(a, b int) int {
+		if c := cmp.Compare(score[a], score[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	p.rank = make([]int, n)
+	p.floor = make([]int, n)
+	first := 0
+	for r, i := range p.byRank {
+		if r > 0 && score[p.byRank[r-1]] != score[i] {
+			first = r
+		}
+		p.rank[i], p.floor[i] = r, first
+	}
+	p.resRanks = make([]uint64, (n+63)/64)
 }
 
 func (p *Benefit) OnHit(int, float64) {}
@@ -154,44 +180,30 @@ func (p *Benefit) OnMiss(i int, _ float64) (bool, []int) {
 	if need > p.budget {
 		return false, nil
 	}
-	free := p.budget - p.used
-	if free >= need {
-		p.admit(i)
-		return true, nil
-	}
-	// Displace strictly lower-density residents, cheapest first.
-	type cand struct {
-		idx   int
-		score float64
-	}
-	var cands []cand
-	for j, res := range p.resident {
-		if res && p.score[j] < p.score[i] {
-			cands = append(cands, cand{j, p.score[j]})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].score != cands[b].score {
-			return cands[a].score < cands[b].score
-		}
-		return cands[a].idx < cands[b].idx
-	})
+	// Displace strictly lower-density residents, cheapest first: the
+	// resident ranks below the newcomer's first equal-density rank.
 	var victims []int
-	freed := free
-	for _, c := range cands {
-		if freed >= need {
-			break
+	freed, floor := p.budget-p.used, p.floor[i]
+	for w := 0; freed < need && w*64 < floor; w++ {
+		for set := p.resRanks[w]; set != 0 && freed < need; set &= set - 1 {
+			r := w*64 + bits.TrailingZeros64(set)
+			if r >= floor {
+				break
+			}
+			v := p.byRank[r]
+			victims = append(victims, v)
+			freed += p.size[v]
 		}
-		victims = append(victims, c.idx)
-		freed += p.size[c.idx]
 	}
 	if freed < need {
 		return false, nil
 	}
 	for _, v := range victims {
 		p.evict(v)
+		p.resRanks[p.rank[v]/64] &^= 1 << (p.rank[v] % 64)
 	}
 	p.admit(i)
+	p.resRanks[p.rank[i]/64] |= 1 << (p.rank[i] % 64)
 	return true, victims
 }
 

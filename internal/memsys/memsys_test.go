@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,48 @@ func TestRegionReset(t *testing.T) {
 	r.ResetWrite()
 	if r.Used() != 0 || r.ReadPos() != 0 {
 		t.Error("ResetWrite incomplete")
+	}
+}
+
+// TestRegionGrowsWithWrites pins that a region holds the bytes written to
+// it, not its capacity: a 4 MiB region given 4 KiB allocates far less than
+// 4 MiB, still refuses a write past its capacity, and rewrites its buffer
+// in place after ResetWrite.
+func TestRegionGrowsWithWrites(t *testing.T) {
+	chunk := make([]byte, 1024)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRegion(0, 4<<20)
+	for range 4 {
+		if _, err := r.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256<<10 {
+		t.Errorf("a 4 MiB region holding %d bytes allocated %d bytes", r.Used(), alloc)
+	}
+	if r.Capacity() != 4<<20 || r.Remaining() != 4<<20-4096 {
+		t.Errorf("capacity %d, remaining %d", r.Capacity(), r.Remaining())
+	}
+
+	if _, err := r.Write(make([]byte, r.Remaining()+1)); !errors.Is(err, ErrRegionFull) || r.Used() != 4096 {
+		t.Errorf("write past capacity: err %v, used %d", err, r.Used())
+	}
+	if _, err := r.Write(make([]byte, r.Remaining())); err != nil || r.Remaining() != 0 {
+		t.Fatalf("write to capacity: err %v, remaining %d", err, r.Remaining())
+	}
+	if err := r.WriteByte(1); !errors.Is(err, ErrRegionFull) {
+		t.Errorf("write to a full region: err %v", err)
+	}
+
+	first := &r.Bytes()[0]
+	r.ResetWrite()
+	if err := r.WriteByte(7); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Bytes(); len(got) != 1 || got[0] != 7 || &got[0] != first {
+		t.Errorf("after ResetWrite: bytes %v, in place %v", got, &got[0] == first)
 	}
 }
 

@@ -12,61 +12,60 @@ var ErrRegionFull = errors.New("memsys: metadata region full")
 
 // Region is a contiguous per-container metadata region in main memory,
 // written sequentially by a recorder and read sequentially by a replayer
-// (Section 4.3 of the paper).
+// (Section 4.3 of the paper). Its buffer grows with writes up to the
+// capacity, so a region holds only the bytes recorded into it.
 type Region struct {
-	Base uint64
-	buf  []byte
-	used int
-	rpos int
+	Base     uint64
+	capacity int
+	buf      []byte // the written bytes
+	rpos     int
 }
 
-// NewRegion allocates a region of the given capacity at base.
+// NewRegion returns an empty region of the given capacity at base.
 func NewRegion(base uint64, capacity int) *Region {
-	return &Region{Base: base, buf: make([]byte, capacity)}
+	return &Region{Base: base, capacity: capacity}
 }
 
 // Capacity returns the region's size in bytes.
-func (r *Region) Capacity() int { return len(r.buf) }
+func (r *Region) Capacity() int { return r.capacity }
 
 // Used returns the number of bytes written.
-func (r *Region) Used() int { return r.used }
+func (r *Region) Used() int { return len(r.buf) }
 
 // Remaining returns the unwritten capacity.
-func (r *Region) Remaining() int { return len(r.buf) - r.used }
+func (r *Region) Remaining() int { return r.capacity - len(r.buf) }
 
 // Write appends p to the region. It writes nothing and returns
 // ErrRegionFull when p does not fit.
 func (r *Region) Write(p []byte) (int, error) {
-	if r.used+len(p) > len(r.buf) {
+	if len(p) > r.Remaining() {
 		return 0, ErrRegionFull
 	}
-	copy(r.buf[r.used:], p)
-	r.used += len(p)
+	r.buf = append(r.buf, p...)
 	return len(p), nil
 }
 
 // WriteByte appends one byte.
 func (r *Region) WriteByte(b byte) error {
-	if r.used >= len(r.buf) {
+	if r.Remaining() < 1 {
 		return ErrRegionFull
 	}
-	r.buf[r.used] = b
-	r.used++
+	r.buf = append(r.buf, b)
 	return nil
 }
 
 // Bytes returns the written contents (not a copy).
-func (r *Region) Bytes() []byte { return r.buf[:r.used] }
+func (r *Region) Bytes() []byte { return r.buf }
 
-// ResetWrite discards the contents for re-recording.
-func (r *Region) ResetWrite() { r.used = 0; r.rpos = 0 }
+// ResetWrite discards the contents for re-recording; the buffer is reused.
+func (r *Region) ResetWrite() { r.buf = r.buf[:0]; r.rpos = 0 }
 
 // ResetRead rewinds the replay cursor.
 func (r *Region) ResetRead() { r.rpos = 0 }
 
 // NextByte returns the next byte of the stream, or false at end.
 func (r *Region) NextByte() (byte, bool) {
-	if r.rpos >= r.used {
+	if r.rpos >= len(r.buf) {
 		return 0, false
 	}
 	b := r.buf[r.rpos]

@@ -56,8 +56,9 @@ go build -o "$smoke/ignite-bench" ./cmd/ignite-bench
 # internal/cfg the program generator's BenchmarkGenerate and the trace
 # walker's BenchmarkWalk, internal/serve the serving wire's warm path
 # (BenchmarkWarmInvoke), internal/bpred the branch predictor over a
-# committed branch tape (BenchmarkCBP).
-go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg ./internal/serve ./internal/bpred
+# committed branch tape (BenchmarkCBP), internal/experiments the codec
+# study's recorder run (BenchmarkAblCodec).
+go test -run '^$' -bench=. -benchtime=1x ./internal/engine ./internal/fleet/budget ./internal/cfg ./internal/serve ./internal/bpred ./internal/experiments
 
 # The repo benchmark (perfbench/) is its own module built against this one
 # (replace ignite => ../): vet and test it here, so an exported-API change
